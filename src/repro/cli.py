@@ -14,22 +14,14 @@ Subcommands:
   per-cell result cache by default (``--no-cache`` / ``--refresh``),
   records to either results backend (``--store jsonl|sqlite``), and
   ``export --to`` converts a campaign's record between backends
-* ``bench-store`` — results-store ingest/lookup throughput, JSONL vs SQLite
-* ``bench-hotpath`` — serve-loop throughput of the object vs. flat engine
-* ``bench-pipeline`` — end-to-end ``run_all`` time per engine
-* ``bench-optimal`` — optimal-tree DP subsystem vs. the legacy forward
-  pass, plus the result-cache cold/warm trajectory
-* ``bench-servefarm`` — resident vs. marshalled vs. flat scalar serving,
-  plus serve-farm shard scaling (aggregate req/s, p50/p99 latency)
 * ``serve`` — run the async socket ingress gateway in front of a serve
   farm (``--shards N --port P``; SIGTERM drains gracefully)
-* ``bench-ingress`` — socket-path throughput/latency vs. the direct
-  in-process farm, micro-batched vs. batch-size-1 dispatch
-* ``bench-report`` — render ``benchmarks/results/BENCH_*.json`` into a
-  markdown perf-trajectory table
+* ``chaos`` — seeded chaos soak against a live ``repro serve`` process
 
 Every command is a thin shell over the public API, so anything done here
 can be scripted directly in Python; run with ``-h`` for per-command flags.
+Performance is measured by the repo benchmark, ``python3 perfbench/run.py``,
+not by a subcommand.
 """
 
 from __future__ import annotations
@@ -228,31 +220,6 @@ def _cmd_optimal(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_hotpath(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.experiments.hotpath import hotpath_benchmark, write_hotpath_record
-
-    result = hotpath_benchmark(
-        n=args.nodes,
-        k=args.k,
-        m=args.requests,
-        network=args.network,
-        zipf_alpha=args.zipf_alpha,
-        seed=args.seed,
-        repeats=args.repeats,
-        engines=args.engines,
-    )
-    print(json.dumps(result, indent=2, sort_keys=True))
-    if args.output:
-        write_hotpath_record(result, args.output)
-        print(f"wrote {args.output}", file=sys.stderr)
-    if result.get("totals_match") is False:
-        print("error: engine cost totals diverged", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     from repro.experiments.presets import get_scale
     from repro.experiments.runner import run_all
@@ -274,98 +241,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         print()
         print(summary.render())
         return 0 if summary.passed else 1
-    return 0
-
-
-def _cmd_bench_pipeline(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.experiments.pipelinebench import (
-        DEFAULT_TABLES,
-        reproduce_pipeline_benchmark,
-        write_pipeline_record,
-    )
-
-    record = reproduce_pipeline_benchmark(
-        args.scale,
-        tables=tuple(args.tables) if args.tables is not None else DEFAULT_TABLES,
-        include_table8=args.table8,
-        repeats=args.repeats,
-        jobs=args.jobs,
-        verbose=not args.quiet,
-    )
-    print(json.dumps(record, indent=2, sort_keys=True))
-    if args.output:
-        write_pipeline_record(record, args.output)
-        print(f"wrote {args.output}", file=sys.stderr)
-    if record.get("summaries_match") is False:
-        print("error: engine table summaries diverged", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_bench_optimal(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.experiments.optimalbench import (
-        optimal_dp_benchmark,
-        write_optimal_record,
-    )
-
-    record = optimal_dp_benchmark(
-        args.scale,
-        campaign=args.campaign,
-        workload=args.workload,
-        ks=tuple(args.ks) if args.ks is not None else None,
-        include_legacy=not args.no_legacy,
-        verbose=not args.quiet,
-    )
-    print(json.dumps(record, indent=2, sort_keys=True))
-    if args.output:
-        write_optimal_record(record, args.output)
-        print(f"wrote {args.output}", file=sys.stderr)
-    failed = (
-        record["dp"].get("costs_match") is False
-        or record["cache"].get("summaries_match") is False
-    )
-    if failed:
-        print("error: DP subsystem diverged from its oracle", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_bench_servefarm(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.experiments.servebench import (
-        servefarm_benchmark,
-        write_servefarm_record,
-    )
-
-    record = servefarm_benchmark(
-        n=args.nodes,
-        k=args.k,
-        scalar_m=args.scalar_requests,
-        farm_m=args.farm_requests,
-        zipf_alpha=args.zipf_alpha,
-        seed=args.seed,
-        repeats=args.repeats,
-        scalar_modes=args.modes,
-        shard_counts=tuple(args.shards),
-        keys=args.keys,
-        window=args.window,
-    )
-    print(json.dumps(record, indent=2, sort_keys=True))
-    if args.output:
-        write_servefarm_record(record, args.output)
-        print(f"wrote {args.output}", file=sys.stderr)
-    failed = (
-        record["scalar"].get("totals_match") is False
-        or record["farm"].get("totals_match") is False
-    )
-    if failed:
-        print("error: serving-mode cost totals diverged", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -451,36 +326,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_ingress(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.experiments.ingressbench import (
-        ingress_benchmark,
-        write_ingress_record,
-    )
-
-    record = ingress_benchmark(
-        n=args.nodes,
-        k=args.k,
-        m=args.requests,
-        keys=args.keys,
-        shards=args.shards,
-        zipf_alpha=args.zipf_alpha,
-        seed=args.seed,
-        batch_window=args.batch_window,
-        batch_max=args.batch_max,
-        concurrency=args.concurrency,
-    )
-    print(json.dumps(record, indent=2, sort_keys=True))
-    if args.output:
-        write_ingress_record(record, args.output)
-        print(f"wrote {args.output}", file=sys.stderr)
-    if record.get("totals_match") is False:
-        print("error: ingress cost totals diverged", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
     import json
 
@@ -518,19 +363,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    return 0
-
-
-def _cmd_bench_report(args: argparse.Namespace) -> int:
-    from repro.experiments.trajectory import render_trajectory
-
-    text = render_trajectory(args.results_dir)
-    print(text, end="")
-    if args.output:
-        out = Path(args.output)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
-        print(f"wrote {args.output}", file=sys.stderr)
     return 0
 
 
@@ -643,30 +475,6 @@ def _cmd_scenarios_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_store(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.experiments.storebench import (
-        results_store_benchmark,
-        write_store_record,
-    )
-
-    record = results_store_benchmark(
-        cells=args.cells,
-        lookups=args.lookups,
-        batch=args.batch,
-        seed=args.seed,
-    )
-    print(json.dumps(record, indent=2, sort_keys=True))
-    if args.output:
-        write_store_record(record, args.output)
-        print(f"wrote {args.output}", file=sys.stderr)
-    if record.get("roundtrip_match") is False:
-        print("error: store backends disagree on the record", file=sys.stderr)
-        return 1
-    return 0
-
-
 # ----------------------------------------------------------------------
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -729,31 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
              " probabilistic:q=0.5,seed=7, frozen",
     )
     sim.set_defaults(func=_cmd_simulate)
-
-    bench = sub.add_parser(
-        "bench-hotpath",
-        help="serve-loop throughput per tree engine (JSON output)",
-    )
-    bench.add_argument("-n", "--nodes", type=int, default=1024)
-    bench.add_argument("-k", type=int, default=4, help="tree arity")
-    bench.add_argument("-m", "--requests", type=int, default=100_000)
-    bench.add_argument(
-        "--network", choices=("ksplaynet", "centroid-splaynet"),
-        default="ksplaynet",
-    )
-    bench.add_argument("--zipf-alpha", type=float, default=1.2)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument(
-        "--repeats", type=int, default=1,
-        help="interleaved timing repeats per engine (best kept)",
-    )
-    bench.add_argument(
-        "--engines", nargs="+", choices=("object", "flat", "native"),
-        default=None,
-        help="engine subset to measure (default: every available engine)",
-    )
-    bench.add_argument("--output", default=None, help="also write JSON here")
-    bench.set_defaults(func=_cmd_bench_hotpath)
 
     opt = sub.add_parser("optimal", help="optimal static tree for a trace")
     opt.add_argument("trace", help="trace path (.csv or .npz)")
@@ -868,95 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
     scen_export.add_argument("-o", "--output", default=None, help="write here")
     scen_export.set_defaults(func=_cmd_scenarios_export)
 
-    benchp = sub.add_parser(
-        "bench-pipeline",
-        help="end-to-end run_all time per tree engine (JSON output)",
-    )
-    benchp.add_argument("--scale", default="quick", choices=("smoke", "quick", "paper"))
-    benchp.add_argument(
-        "--tables", type=int, nargs="*", default=None,
-        help="table subset (default: the recorded-trajectory subset"
-             " 1,2,4,5,6,7 — see EXPERIMENTS.md)",
-    )
-    benchp.add_argument(
-        "--table8", action="store_true",
-        help="include Table 8 (n=1024 engine-independent DP at quick scale)",
-    )
-    benchp.add_argument(
-        "--repeats", type=int, default=2,
-        help="timing repeats per engine (best CPU time kept)",
-    )
-    benchp.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes (keep 1 for clean CPU-time measurement)",
-    )
-    benchp.add_argument("--quiet", action="store_true")
-    benchp.add_argument("--output", default=None, help="also write JSON here")
-    benchp.set_defaults(func=_cmd_bench_pipeline)
-
-    bencho = sub.add_parser(
-        "bench-optimal",
-        help="optimal-tree DP subsystem vs. legacy + cache trajectory (JSON)",
-    )
-    bencho.add_argument("--scale", default="quick", choices=("smoke", "quick", "paper"))
-    bencho.add_argument(
-        "--campaign", default="table3",
-        help="scenario set for the cache cold/warm trajectory"
-             " (default: table3, the DP-dominated one)",
-    )
-    bencho.add_argument(
-        "--workload", default="facebook",
-        help="workload for the before/after DP timing (default: facebook)",
-    )
-    bencho.add_argument(
-        "--ks", type=int, nargs="*", default=None,
-        help="arity sweep for the DP timing (default: the scale's)",
-    )
-    bencho.add_argument(
-        "--no-legacy", action="store_true",
-        help="skip the slow historical forward pass (subsystem timing only)",
-    )
-    bencho.add_argument("--quiet", action="store_true")
-    bencho.add_argument("--output", default=None, help="also write JSON here")
-    bencho.set_defaults(func=_cmd_bench_optimal)
-
-    benchs = sub.add_parser(
-        "bench-servefarm",
-        help="resident scalar serving + serve-farm shard scaling (JSON)",
-    )
-    benchs.add_argument("-n", "--nodes", type=int, default=1024)
-    benchs.add_argument("-k", type=int, default=4, help="tree arity")
-    benchs.add_argument(
-        "--scalar-requests", type=int, default=2_000,
-        help="requests per scalar serving mode (0 skips the scalar part)",
-    )
-    benchs.add_argument(
-        "--farm-requests", type=int, default=100_000,
-        help="requests through the farm per shard count (0 skips)",
-    )
-    benchs.add_argument("--zipf-alpha", type=float, default=1.2)
-    benchs.add_argument("--seed", type=int, default=0)
-    benchs.add_argument(
-        "--repeats", type=int, default=1,
-        help="interleaved timing repeats (best kept)",
-    )
-    benchs.add_argument(
-        "--modes", nargs="+", choices=("resident", "marshalled", "flat"),
-        default=None,
-        help="scalar mode subset (default: every mode measurable here)",
-    )
-    benchs.add_argument(
-        "--shards", type=int, nargs="+", default=(1, 2),
-        help="farm shard counts to measure",
-    )
-    benchs.add_argument("--keys", type=int, default=8, help="session keys")
-    benchs.add_argument(
-        "--window", type=int, default=8_192,
-        help="requests per farm dispatch window",
-    )
-    benchs.add_argument("--output", default=None, help="also write JSON here")
-    benchs.set_defaults(func=_cmd_bench_servefarm)
-
     serve = sub.add_parser(
         "serve",
         help="socket ingress gateway in front of a serve farm",
@@ -1062,64 +756,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--output", default=None, help="also write JSON here")
     chaos.set_defaults(func=_cmd_chaos)
 
-    benchi = sub.add_parser(
-        "bench-ingress",
-        help="socket ingress vs. direct in-process farm (JSON output)",
-    )
-    benchi.add_argument("-n", "--nodes", type=int, default=256)
-    benchi.add_argument("-k", type=int, default=4, help="tree arity")
-    benchi.add_argument("-m", "--requests", type=int, default=4_000)
-    benchi.add_argument("--keys", type=int, default=8, help="session keys")
-    benchi.add_argument("--shards", type=int, default=2)
-    benchi.add_argument("--zipf-alpha", type=float, default=1.2)
-    benchi.add_argument("--seed", type=int, default=0)
-    benchi.add_argument(
-        "--batch-window", type=float, default=0.002,
-        help="micro-batch window for the batched socket leg, seconds",
-    )
-    benchi.add_argument(
-        "--batch-max", type=int, default=256,
-        help="max requests per coalesced dispatch (batched leg)",
-    )
-    benchi.add_argument(
-        "--concurrency", type=int, default=256,
-        help="client requests in flight at once (micro-batching needs"
-             " many in flight to coalesce)",
-    )
-    benchi.add_argument("--output", default=None, help="also write JSON here")
-    benchi.set_defaults(func=_cmd_bench_ingress)
-
-    benchst = sub.add_parser(
-        "bench-store",
-        help="results-store ingest/lookup benchmark, JSONL vs SQLite (JSON)",
-    )
-    benchst.add_argument(
-        "--cells", type=int, default=50_000,
-        help="synthetic results to ingest per backend",
-    )
-    benchst.add_argument(
-        "--lookups", type=int, default=5,
-        help="spec-hash lookups to time per backend (each JSONL lookup"
-             " scans the whole file — keep this small)",
-    )
-    benchst.add_argument(
-        "--batch", type=int, default=1000,
-        help="rows per SQLite ingest transaction",
-    )
-    benchst.add_argument("--seed", type=int, default=0)
-    benchst.add_argument("--output", default=None, help="also write JSON here")
-    benchst.set_defaults(func=_cmd_bench_store)
-
-    benchr = sub.add_parser(
-        "bench-report",
-        help="markdown perf-trajectory table over recorded BENCH_*.json",
-    )
-    benchr.add_argument(
-        "--results-dir", default=None,
-        help="directory of BENCH_*.json records (default benchmarks/results)",
-    )
-    benchr.add_argument("-o", "--output", default=None, help="write here")
-    benchr.set_defaults(func=_cmd_bench_report)
     return parser
 
 

@@ -140,27 +140,6 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
         raise RuntimeError(
             f"kernel ABI mismatch: compiled {abi}, expected {_ABI_VERSION}"
         )
-    fn = lib.repro_serve_batch
-    fn.restype = ctypes.c_int64
-    fn.argtypes = (
-        ctypes.c_int64,  # n
-        ctypes.c_int64,  # k
-        ctypes.c_void_p,  # root_io
-        ctypes.c_void_p,  # parent
-        ctypes.c_void_p,  # pslot
-        ctypes.c_void_p,  # children
-        ctypes.c_void_p,  # routing
-        ctypes.c_void_p,  # visit
-        ctypes.c_void_p,  # vdepth
-        ctypes.c_void_p,  # epoch_io
-        ctypes.c_void_p,  # sources
-        ctypes.c_void_p,  # targets
-        ctypes.c_int64,  # m
-        ctypes.c_int64,  # policy
-        ctypes.c_void_p,  # routing_series (nullable)
-        ctypes.c_void_p,  # rotation_series (nullable)
-        ctypes.c_void_p,  # totals
-    )
     # -- resident-tree handle API (ABI v2) ---------------------------------
     fn = lib.repro_tree_create
     fn.restype = ctypes.c_void_p
@@ -185,9 +164,6 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.c_void_p,  # children
         ctypes.c_void_p,  # routing
     )
-    fn = lib.repro_tree_root
-    fn.restype = ctypes.c_int64
-    fn.argtypes = (ctypes.c_void_p,)
     fn = lib.repro_tree_serve_batch
     fn.restype = ctypes.c_int64
     fn.argtypes = (

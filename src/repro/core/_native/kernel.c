@@ -737,8 +737,8 @@ static int64_t rk_splay(rk_ctx *c, int64_t z, int64_t y, int64_t x)
     return grand;
 }
 
-/* The per-request serve loop shared by the marshalled batch entry and
- * the resident-tree handle API.  ``c`` must be fully initialized (arity,
+/* The per-request serve loop behind repro_tree_serve_batch (and so
+ * repro_tree_serve_one).  ``c`` must be fully initialized (arity,
  * policy flags, buffers, root); epoch_io is a one-element in/out buffer;
  * totals is a three-element out buffer (routing, rotations, links);
  * routing_series / rotation_series are optional length-m out buffers
@@ -860,36 +860,6 @@ static int rk_ctx_init(rk_ctx *c, int64_t k, int64_t policy, int64_t *parent,
     return 1;
 }
 
-/* Serve a whole request batch over caller-owned flat arrays (the
- * marshalled entry used before the handle API existed; kept for the
- * marshalled-vs-resident benchmark and as a stateless escape hatch).
- *
- * Mirrors FlatTree.serve_many (depth == 2 discipline).  root_io and
- * epoch_io are one-element in/out buffers; totals is a three-element out
- * buffer (routing, rotations, links); routing_series / rotation_series
- * are optional length-m out buffers (both NULL or both set).
- *
- * Returns 0 on success, 1 when the arity is outside the supported range
- * (the caller then falls back to the Python engine). */
-int64_t repro_serve_batch(int64_t n, int64_t k, int64_t *root_io,
-                          int64_t *parent, int64_t *pslot, int64_t *children,
-                          double *routing, int64_t *visit, int64_t *vdepth,
-                          int64_t *epoch_io, const int64_t *sources,
-                          const int64_t *targets, int64_t m, int64_t policy,
-                          int64_t *routing_series, int64_t *rotation_series,
-                          int64_t *totals)
-{
-    (void)n;
-    rk_ctx c;
-    if (!rk_ctx_init(&c, k, policy, parent, pslot, children, routing,
-                     *root_io))
-        return 1;
-    rk_serve_requests(&c, visit, vdepth, epoch_io, sources, targets, m,
-                      routing_series, rotation_series, totals);
-    *root_io = c.root;
-    return 0;
-}
-
 /* ====================================================================
  * Resident-tree handle API (ABI v2).
  *
@@ -967,13 +937,12 @@ void repro_tree_sync_out(void *handle, int64_t *root_out, int64_t *parent,
     *root_out = t->root;
 }
 
-int64_t repro_tree_root(void *handle)
-{
-    return ((rk_tree *)handle)->root;
-}
-
-/* Serve a request batch against the resident buffers; same contract as
- * repro_serve_batch minus the marshalling. */
+/* Serve a request batch against the resident buffers.  Mirrors
+ * FlatTree.serve_many (depth == 2 discipline): totals is a three-element
+ * out buffer (routing, rotations, links); routing_series /
+ * rotation_series are optional length-m out buffers (both NULL or both
+ * set).  Returns 0 on success, 1 when the arity is outside the supported
+ * range (the caller then falls back to the Python engine). */
 int64_t repro_tree_serve_batch(void *handle, const int64_t *sources,
                                const int64_t *targets, int64_t m,
                                int64_t policy, int64_t *routing_series,

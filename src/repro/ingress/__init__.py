@@ -23,8 +23,8 @@ This package puts a network front door on it —
   requests over one connection.
 
 Start a server from the command line with ``repro serve --shards N
---port P``; measure the socket path against the in-process farm with
-``repro bench-ingress``; storm it with ``repro chaos``.
+--port P``; measure the socket path with ``python3 perfbench/run.py
+--workload ingress-zipf``; storm it with ``repro chaos``.
 """
 
 from repro.ingress.breaker import BreakerConfig, CircuitBreaker

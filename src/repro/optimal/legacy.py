@@ -3,15 +3,10 @@
 This is the optimal-tree DP exactly as it shipped before the DP subsystem
 (:mod:`repro.optimal.context` + the int64 forward pass in
 :mod:`repro.optimal.general`): float64 tables, one NumPy dispatch per
-``(length, s)`` pair, no input sharing across arities.  It is retained for
-two jobs:
-
-* **Equivalence oracle** — fast enough at medium ``n`` (where the pure
-  Python transcription in :mod:`repro.optimal.reference` is not) to pin
-  the rewritten forward pass against the historical one in tests.
-* **Benchmark baseline** — ``python -m repro bench-optimal`` times this
-  implementation against the subsystem to record the before/after
-  trajectory in ``benchmarks/results/BENCH_optimal_dp.json``.
+``(length, s)`` pair, no input sharing across arities.  It is retained as
+an **equivalence oracle**: fast enough at medium ``n`` (where the pure
+Python transcription in :mod:`repro.optimal.reference` is not) to pin the
+rewritten forward pass against the historical one in tests.
 
 Do not use it for new work: it drifts from exact integers once costs pass
 2^53 and recomputes the boundary-crossing matrix per call.

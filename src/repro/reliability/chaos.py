@@ -34,8 +34,8 @@ invariants rather than "it didn't crash":
 * every shard reports ``healthy`` at drain, and SIGTERM drains to a
   clean exit.
 
-Run via ``repro chaos --seed S --rounds R``; records go to
-``benchmarks/results/BENCH_chaos.json`` for ``repro bench-report``.
+Run via ``repro chaos --seed S --rounds R``; ``--output PATH`` also
+writes the report as JSON.
 """
 
 from __future__ import annotations

@@ -3,10 +3,10 @@
 The persistence seam of the reproduction: every campaign streams its
 :class:`~repro.scenarios.core.ScenarioResult` cells into a
 :class:`~repro.results.store.ResultStore`, and every consumer — resume
-seeding, the CLI, the perf-trajectory report, conversions — reads back
-through the same protocol.  Two backends: the crash-safe append-only
-JSONL file (:class:`~repro.results.jsonl.JsonlStore`, the historical
-sink) and an indexed WAL-mode SQLite database
+seeding, the CLI, conversions — reads back through the same protocol.
+Two backends: the crash-safe append-only JSONL file
+(:class:`~repro.results.jsonl.JsonlStore`, the historical sink) and an
+indexed WAL-mode SQLite database
 (:class:`~repro.results.sqlite.SqliteStore`) for campaigns that outgrow
 line scanning.  :func:`~repro.results.store.open_store` selects a
 backend by path extension or explicit name;

@@ -13,8 +13,8 @@ and query after the fact.  Two backends implement it:
   campaigns whose cell counts outgrow line-scanning.
 
 Both speak the same protocol, so every producer and consumer — the
-execution core, the CLI, the perf-trajectory report, conversion tools —
-is backend-independent.  :func:`open_store` picks a backend from a path's
+execution core, the CLI, conversion tools — is backend-independent.
+:func:`open_store` picks a backend from a path's
 extension (or an explicit name); :func:`copy_results` streams any store
 (or raw record path) into any other, which is all a JSONL ↔ SQLite
 conversion is.

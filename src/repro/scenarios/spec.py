@@ -66,7 +66,7 @@ COST_MODELS = ("routing", "unit_rotations")
 
 #: Engine used for engine-capable online cells when the spec leaves
 #: ``engine=None`` — the flat structure-of-arrays backend, ~3× the object
-#: engine on the serve hot loop (see ROADMAP.md / BENCH_engine_hotpath).
+#: engine on the serve hot loop (see EXPERIMENTS.md, *Performance records*).
 DEFAULT_ONLINE_ENGINE = "flat"
 
 

@@ -10,6 +10,12 @@ import pytest
 import repro.core.rotations as rotations_module
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: long-running test (still part of the tier-1 run)"
+    )
+
+
 @pytest.fixture(scope="session", autouse=True)
 def isolated_results_dir(tmp_path_factory):
     """Point result files and the result cache at a session temp dir.

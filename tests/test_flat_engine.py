@@ -145,12 +145,16 @@ class TestScalarEquivalence:
 
 
 class TestBatchedEquivalence:
-    def test_all_engines_batched_equivalence(self):
+    @pytest.mark.parametrize(
+        "n, k, m, alpha, seed",
+        [(40, 4, 400, 1.25, 8), (64, 3, 2000, 1.2, 0)],
+        ids=["n40-k4", "n64-k3-m2000"],
+    )
+    def test_all_engines_batched_equivalence(self, n, k, m, alpha, seed):
         """Every registered engine — object, flat and native (which is
         flat's silent stand-in when the kernel is unavailable) — produces
         the identical topology and cost totals on one batched trace."""
-        n, k, m = 40, 4, 400
-        trace = zipf_trace(n, m, 1.25, seed=8)
+        trace = zipf_trace(n, m, alpha, seed=seed)
         totals = {}
         signatures = {}
         for engine in ENGINES:

@@ -113,11 +113,6 @@ class TestNoToolchainFallback:
     def test_best_available_engine_degrades(self, no_native):
         assert best_available_engine() == "flat"
 
-    def test_hotpath_defaults_drop_native(self, no_native):
-        from repro.experiments.hotpath import default_hotpath_engines
-
-        assert default_hotpath_engines() == ("object", "flat")
-
 
 # ----------------------------------------------------------------------
 # kernel equivalence (only with the kernel present)
@@ -328,46 +323,27 @@ class TestResidentRuntime:
 
     A resident NativeTree keeps its authoritative state inside the
     kernel handle between serves; every inspection / snapshot /
-    cross-engine path must transparently sync it back.  Disabling
-    residency (``set_resident(False)``) restores the marshalled
-    per-call round trip — both modes must be request-for-request
-    identical to each other and to the flat and object engines.
+    cross-engine path must transparently sync it back, and the next
+    serve must reload the handle from the synced lists.
     """
 
-    def test_scalar_serves_stay_resident_and_match_object(self):
-        from repro.core import native as native_module
-
+    @pytest.mark.parametrize("sync_every", [1, 40])
+    def test_scalar_serves_stay_resident_and_match_object(self, sync_every):
+        """``sync_every=1`` forces the full load -> serve -> sync round
+        trip on every request; 40 keeps the handle resident in between."""
         n, k = 36, 3
         obj = KArySplayNet(n, k, engine="object")
         nat = KArySplayNet(n, k, engine="native")
-        assert native_module.resident_enabled()
         trace = uniform_trace(n, 300, seed=11)
         for i, (u, v) in enumerate(trace.pairs()):
             assert result_tuple(obj.serve(u, v)) == result_tuple(
                 nat.serve(u, v)
             ), i
-            if i % 40 == 0:
+            if i % sync_every == 0:
                 # Inspection forces a handle -> lists sync mid-stream.
                 assert tree_signature(obj.tree) == nat.flat.signature()
         assert tree_signature(obj.tree) == nat.flat.signature()
         nat.flat.validate()
-
-    def test_marshalled_mode_is_identical(self):
-        from repro.core.native import set_resident
-
-        n, k = 30, 4
-        trace = zipf_trace(n, 250, 1.2, seed=5)
-        resident = KArySplayNet(n, k, engine="native")
-        marshalled = KArySplayNet(n, k, engine="native")
-        for u, v in trace.pairs():
-            a = result_tuple(resident.serve(u, v))
-            previous = set_resident(False)
-            try:
-                b = result_tuple(marshalled.serve(u, v))
-            finally:
-                set_resident(previous)
-            assert a == b
-        assert resident.flat.signature() == marshalled.flat.signature()
 
     def test_scalar_out_of_range_rejected_resident(self):
         nat = KArySplayNet(12, 2, engine="native")
