@@ -1,14 +1,18 @@
-"""Build-and-load layer for the native serve kernel.
+"""Build-and-load layer for the native kernel.
 
-``kernel.c`` (shipped next to this module) has no dependency on Python.h,
+``kernel.c`` (shipped next to this module) holds two things: the k-ary
+SplayNet serve kernel behind the ``native`` engine, and the forward
+passes of the optimal-tree DPs (``repro_dp_general`` for Theorem 2,
+``repro_dp_uniform`` for Theorem 4).  It has no dependency on Python.h,
 so it compiles with any C toolchain: this module builds it into a shared
 library with ``cc -O3 -shared -fPIC``, caches the result under a
 content-addressed name, and loads it through :mod:`ctypes`.  Everything is
 best-effort — any failure (no compiler, read-only filesystem, a kernel
 source that does not compile, ``REPRO_NATIVE=0``) leaves the process in
-the *unavailable* state, recorded in :func:`build_error`, and the engine
-layer degrades to the pure-Python flat backend (see
-:func:`repro.core.engine.resolve_engine`).
+the *unavailable* state, recorded in :func:`build_error`; the engine
+layer then degrades to the pure-Python flat backend (see
+:func:`repro.core.engine.resolve_engine`) and the DPs to their NumPy
+passes (see :mod:`repro.optimal.general` and :mod:`repro.optimal.uniform`).
 
 Environment knobs:
 
@@ -54,8 +58,8 @@ MAX_NATIVE_K = 40
 
 #: Expected ``repro_kernel_abi()`` value; stale cached shared objects that
 #: report a different version are rebuilt.  Version 2 added the
-#: resident-tree handle API.
-_ABI_VERSION = 2
+#: resident-tree handle API, version 3 the DP forward passes.
+_ABI_VERSION = 3
 
 _COMPILERS = ("cc", "gcc", "clang")
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-fvisibility=default")
@@ -188,6 +192,26 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
     fn = lib.repro_tree_destroy
     fn.restype = None
     fn.argtypes = (ctypes.c_void_p,)
+    # -- optimal-tree DP forward passes (ABI v3) ---------------------------
+    fn = lib.repro_dp_general
+    fn.restype = ctypes.c_int64
+    fn.argtypes = (
+        ctypes.c_void_p,  # b: (k + 1, n + 1, n + 1) length-major table
+        ctypes.c_void_p,  # w: (n + 1, n + 1) boundary-crossing matrix
+        ctypes.c_int64,  # n
+        ctypes.c_int64,  # k
+        ctypes.c_int64,  # inf sentinel
+    )
+    fn = lib.repro_dp_uniform
+    fn.restype = None
+    fn.argtypes = (
+        ctypes.c_void_p,  # t: (n + 1,) single-tree costs
+        ctypes.c_void_p,  # b: (k + 1, n + 1) forest costs
+        ctypes.c_void_p,  # w: (n + 1,) boundary crossing
+        ctypes.c_int64,  # n
+        ctypes.c_int64,  # k
+        ctypes.c_int64,  # inf sentinel
+    )
     return lib
 
 

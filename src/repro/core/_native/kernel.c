@@ -1,12 +1,13 @@
-/* Native serve kernel for the k-ary SplayNet hot loop.
+/* Native serve kernel for the k-ary SplayNet hot loop, plus the
+ * optimal-tree DP forward passes (at the end of this file).
  *
- * This file is a statement-for-statement translation of the inlined batch
- * serve loop of ``repro.core.flat.FlatTree.serve_many`` (the depth-2
- * k-splay discipline): the epoch-stamped LCA walk, the k-semi-splay and
- * k-splay rotation groups with arithmetic subtree placement, and the
- * routing/rotation/link cost accounting.  It operates on the same flat
- * identifier-indexed layout the Python engine owns, marshalled into
- * contiguous buffers by ``repro.core.native.NativeTree``:
+ * The serve kernel is a statement-for-statement translation of the
+ * inlined batch serve loop of ``repro.core.flat.FlatTree.serve_many``
+ * (the depth-2 k-splay discipline): the epoch-stamped LCA walk, the
+ * k-semi-splay and k-splay rotation groups with arithmetic subtree
+ * placement, and the routing/rotation/link cost accounting.  It operates
+ * on the same flat identifier-indexed layout the Python engine owns,
+ * marshalled into contiguous buffers by ``repro.core.native.NativeTree``:
  *
  *   parent[nid], pslot[nid]          int64, length n + 1 (0 = null)
  *   children[nid * k + slot]         int64, 0 = empty slot
@@ -17,7 +18,8 @@
  * request batch this kernel must produce the identical topology and the
  * identical cost totals (enforced per request by tests/test_native_engine.py
  * and the tests/net hypothesis sweeps).  When editing, change flat.py
- * first, then mirror here.
+ * first, then mirror here.  The DP passes must likewise fill tables equal
+ * entry for entry to their NumPy references (tests/optimal/test_native_dp.py).
  *
  * Built by repro.core._native with ``cc -O3 -shared -fPIC``; no Python.h
  * dependency, so any C toolchain works.
@@ -36,8 +38,9 @@
  * Python loader refuses stale cached shared objects that report a
  * different version.  Version 2 added the resident-tree handle API
  * (repro_tree_create / load / serve_batch / serve_one / sync_out /
- * destroy). */
-#define RK_ABI_VERSION 2
+ * destroy); version 3 added the DP forward passes (repro_dp_general /
+ * repro_dp_uniform). */
+#define RK_ABI_VERSION 3
 
 int64_t repro_kernel_abi(void) { return RK_ABI_VERSION; }
 
@@ -977,4 +980,117 @@ void repro_tree_destroy(void *handle)
     free(t->parent);
     free(t->routing);
     free(t);
+}
+
+/* ====================================================================
+ * Optimal-tree DP forward passes (repro.optimal.general / .uniform).
+ *
+ * Exact int64 arithmetic with the caller's ``inf`` sentinel (2^61): the
+ * demand magnitude guard in repro.optimal.context bounds every finite
+ * cost by 2^60, so no sum formed below exceeds 2^62.  Both functions
+ * fill caller-owned NumPy buffers in place; the NumPy passes in
+ * general.py and uniform.py are the statement-for-statement reference.
+ *
+ * Only these two functions get an AVX2 clone: the int64 min of the inner
+ * loops has no SSE2 form, and the clone doubles their speed.  The guard
+ * keeps the attribute to targets that resolve clones through ifuncs, so
+ * it can never break the serve kernel's build elsewhere.
+ * ==================================================================== */
+
+#if defined(__x86_64__) && defined(__linux__) && defined(__GLIBC__) && \
+    defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define RK_DP_CLONES __attribute__((target_clones("avx2", "default")))
+#endif
+#endif
+#ifndef RK_DP_CLONES
+#define RK_DP_CLONES
+#endif
+
+/* Theorem 2 forward pass over a zeroed length-major table:
+ *
+ *   b[(t * (n + 1) + L) * (n + 1) + i] = B[t, i, L]    (t < k, L, i <= n)
+ *   w[i * (n + 1) + L]                 = W[i, L]
+ *
+ * Rows L >= 1 of planes 1 .. k - 1 are written at the starts that fit
+ * (i + L <= n) before anything reads them; plane 0 is never touched and
+ * B[k] is never formed (a single tree splits its arity into at most
+ * k - 1 trees per side).  For each length both operands of every
+ * reduction are rows contiguous in the start ``i``, so the add, the min
+ * and the running min over root splits fuse into one pass over an
+ * n-long ``best`` row.  Returns 0, or 1 when the scratch row cannot be
+ * allocated. */
+RK_DP_CLONES
+int64_t repro_dp_general(int64_t *b, const int64_t *w, int64_t n, int64_t k,
+                         int64_t inf)
+{
+    const int64_t R = n + 1;  /* one length row: every start i */
+    const int64_t P = R * R;  /* one t-plane */
+    int64_t *restrict best = (int64_t *)malloc((size_t)R * sizeof(int64_t));
+    if (!best)
+        return 1;
+    for (int64_t L = 1; L <= n; L++) {
+        const int64_t m = n - L + 1; /* segments [i, i + L) that fit */
+        /* t = 1: a root at i + s, dl trees on the left, k - dl right. */
+        for (int64_t i = 0; i < m; i++)
+            best[i] = inf;
+        for (int64_t s = 0; s < L; s++) {
+            for (int64_t dl = 1; dl < k; dl++) {
+                const int64_t *restrict left = b + dl * P + s * R;
+                const int64_t *restrict right =
+                    b + (k - dl) * P + (L - 1 - s) * R + s + 1;
+                for (int64_t i = 0; i < m; i++) {
+                    const int64_t v = left[i] + right[i];
+                    best[i] = v < best[i] ? v : best[i];
+                }
+            }
+        }
+        int64_t *restrict out = b + P + L * R;
+        for (int64_t i = 0; i < m; i++)
+            out[i] = best[i] + w[i * R + L];
+        /* t >= 2: at most t - 1 trees, or a first tree of length s
+         * followed by at most t - 1 trees on the rest. */
+        const int64_t *restrict first_tree = b + P;
+        for (int64_t t = 2; t < k; t++) {
+            const int64_t *restrict fewer = b + (t - 1) * P;
+            for (int64_t i = 0; i < m; i++)
+                best[i] = fewer[L * R + i];
+            for (int64_t s = 1; s < L; s++) {
+                const int64_t *restrict head = first_tree + s * R;
+                const int64_t *restrict rest = fewer + (L - s) * R + s;
+                for (int64_t i = 0; i < m; i++) {
+                    const int64_t v = head[i] + rest[i];
+                    best[i] = v < best[i] ? v : best[i];
+                }
+            }
+            out = b + t * P + L * R;
+            for (int64_t i = 0; i < m; i++)
+                out[i] = best[i];
+        }
+    }
+    free(best);
+    return 0;
+}
+
+/* Theorem 4 forward pass: tc[L] = T[L], b[t * (n + 1) + L] = B[t, L],
+ * w[L] = W[L] (Lemma 18).  b arrives as ``inf`` with B[t, 0] = 0 for
+ * t >= 1; T[L] = W[L] + B[k, L - 1] needs the full t <= k range. */
+RK_DP_CLONES
+void repro_dp_uniform(int64_t *tc, int64_t *b, const int64_t *w, int64_t n,
+                      int64_t k, int64_t inf)
+{
+    const int64_t R = n + 1;
+    for (int64_t L = 1; L <= n; L++) {
+        tc[L] = w[L] + b[k * R + L - 1];
+        b[R + L] = tc[L];
+        for (int64_t t = 2; t <= k; t++) {
+            const int64_t *fewer = b + (t - 1) * R;
+            int64_t split = inf;
+            for (int64_t s = 1; s < L; s++) {
+                const int64_t v = tc[s] + fewer[L - s];
+                split = v < split ? v : split;
+            }
+            b[t * R + L] = split < fewer[L] ? split : fewer[L];
+        }
+    }
 }

@@ -1,28 +1,19 @@
 """Shared demand-derived inputs of the optimal-tree DP (the DP subsystem).
 
 A paper table row runs the Theorem 2 DP once per arity on the *same*
-demand: the dense demand matrix, the boundary-crossing matrix ``W``
-(Claim 16) and — where the recurrence permits — the short single-tree
-layers are identical across those runs.  :class:`DemandContext` bundles
-them so they are computed once per demand and shared across every arity,
-and :func:`demand_context` memoizes contexts per process keyed on the
-demand's content, so independent scenario cells over the same workload
-share automatically.
-
-Cross-arity reuse of the single-tree layer rests on a small observation:
-a routing-based tree on a segment of ``L`` identifiers has at most
-``L - 1`` child parts at any node, and the recurrence reserves one unit
-of arity budget per side even when that side is empty — so for every
-arity ``k >= L`` the feasible tree set, and hence ``B[1, i, L]``, is the
-same.  A completed run at arity ``k'`` therefore seeds the ``t = 1``
-rows for lengths ``L <= min(k', k)`` of any later run at arity ``k`` on
-the same demand (see :meth:`DemandContext.reuse_for`).
+demand: the dense demand matrix and the boundary-crossing matrix ``W``
+(Claim 16) are identical across those runs.  :class:`DemandContext`
+bundles them so they are computed once per demand and shared across every
+arity, and :func:`demand_context` memoizes contexts per process keyed on
+the demand's content, so independent scenario cells over the same
+workload share automatically.  A context is immutable once built (``W``
+is a read-only array), so sharing it can never make one run depend on
+another.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Optional
 
 import numpy as np
 
@@ -47,6 +38,15 @@ INT_INF = np.int64(1) << np.int64(61)
 #: traffic); demands whose bound reaches this threshold are rejected
 #: rather than silently overflowing the exact int64 tables.
 _EXACT_LIMIT = 1 << 60
+
+
+def check_kernel_buffer(a: np.ndarray, shape: tuple[int, ...]) -> None:
+    """Refuse a DP table or ``W`` the native kernel would misread."""
+    if a.shape != shape or a.dtype != np.int64 or not a.flags.c_contiguous:
+        raise OptimizationError(
+            f"native DP needs a C-contiguous int64 {shape} table, got "
+            f"{a.dtype} {a.shape}"
+        )
 
 
 def _as_dense_int64(demand) -> np.ndarray:
@@ -91,28 +91,27 @@ def _exact_total(dense: np.ndarray) -> int:
 class DemandContext:
     """Everything the Theorem 2 forward pass derives from one demand.
 
-    Holds the dense int64 demand, the boundary-crossing matrix ``W`` and a
-    mutable cross-arity reuse slot: the widest single-tree (``t = 1``)
-    layer prefix completed so far.  Build one per demand (directly or via
-    the memoized :func:`demand_context`) and pass it to
-    ``optimal_static_cost_table`` / ``optimal_static_tree`` for every
-    arity in a sweep.
+    Holds the dense int64 demand and the boundary-crossing matrix ``W``
+    (C-contiguous int64, read-only: the native DP reads it in place).
+    Build one per demand (directly or via the memoized
+    :func:`demand_context`) and pass it to ``optimal_static_cost_table`` /
+    ``optimal_static_tree`` for every arity in a sweep.
     """
 
-    __slots__ = ("dense", "w", "total", "_t1_arity", "_t1_prefix")
+    __slots__ = ("dense", "w", "total")
 
     def __init__(self, dense: np.ndarray, w: np.ndarray) -> None:
         self.dense = dense
-        self.w = w
+        self.w = np.ascontiguousarray(w, dtype=np.int64).view()
+        self.w.setflags(write=False)
         self.total = _exact_total(dense)
         n = dense.shape[0]
+        check_kernel_buffer(self.w, (n + 1, n + 1))
         if 2 * n * self.total >= _EXACT_LIMIT:
             raise OptimizationError(
                 f"demand too large for the exact int64 DP: bound "
                 f"2*{n}*{self.total} exceeds 2^60"
             )
-        self._t1_arity = 0
-        self._t1_prefix: Optional[np.ndarray] = None
 
     @classmethod
     def from_demand(cls, demand) -> "DemandContext":
@@ -123,40 +122,13 @@ class DemandContext:
     def n(self) -> int:
         return self.dense.shape[0]
 
-    # -- cross-arity single-tree reuse ---------------------------------
-    def reuse_for(self, k: int) -> tuple[int, Optional[np.ndarray]]:
-        """``(max_length, t1_prefix)`` reusable by a run at arity ``k``.
-
-        Rows ``B[1, :, L]`` for ``1 <= L <= max_length`` may be copied
-        from the prefix instead of re-reduced: a routing-based tree on
-        ``L`` identifiers splits at most ``L - 1`` ways at any node, and
-        the root recurrence reserves one arity unit per side even when a
-        side is empty, so the single-tree optimum is arity-independent
-        once both arities are ``>= L``.
-        """
-        if self._t1_prefix is None:
-            return 0, None
-        return min(self._t1_arity, k), self._t1_prefix
-
-    def offer(self, k: int, t1_table: np.ndarray) -> None:
-        """Record the ``t = 1`` layer of a completed run at arity ``k``.
-
-        Only the columns a future run could reuse (lengths up to ``k``)
-        are copied; wider arities replace narrower prefixes.
-        """
-        if k <= self._t1_arity:
-            return
-        cols = min(k + 1, t1_table.shape[1])
-        self._t1_arity = k
-        self._t1_prefix = t1_table[:, :cols].copy()
-
 
 # ----------------------------------------------------------------------
 # per-process context memoization
 # ----------------------------------------------------------------------
 #: content-fingerprint -> context.  A table row's up-to-9 optimal-tree
 #: cells all derive from one demand; without this memo each cell rebuilds
-#: W and loses the cross-arity t=1 prefix.
+#: W.
 _CONTEXT_CACHE: dict[str, DemandContext] = {}
 #: Contexts are O(n²) ints apiece; a reproduction touches a handful of
 #: distinct demands per process.
@@ -175,7 +147,7 @@ def demand_context(demand) -> DemandContext:
 
     Keyed on the demand's *content*, so every caller computing on the
     same matrix — successive arities of a table row, independent scenario
-    cells, direct API use — shares one context and its reuse slot.
+    cells, direct API use — shares one context.
     """
     global _context_hits, _context_misses
     dense = _as_dense_int64(demand)

@@ -11,17 +11,22 @@ Dynamic programming over identifier segments, exactly as in Appendix A.1:
   joins the routing array, ``dl`` child trees on ``[i, r)`` and ``k - dl``
   on ``(r, i+L)`` — the routing-based constraint ``dl + dr <= k``.
 
-The forward pass is exact int64 NumPy (a ``2^61`` sentinel plays infinity;
+The forward pass is exact int64 (a ``2^61`` sentinel plays infinity;
 :mod:`repro.optimal.context` rejects demands whose costs could reach it).
-For each length the two inner reductions run over *diagonal* slices of
-``B`` (entry ``[i+s, L-s]`` for fixed ``L``) which ``as_strided`` exposes
-as 2-D views, reduced one arity-split at a time into preallocated
-buffers — O(n·k) NumPy dispatches while the arithmetic stays the paper's
-O(n³k).  Demand-derived inputs (dense demand, the boundary-crossing
-matrix, the short single-tree layers that are arity-independent) live in
-a :class:`~repro.optimal.context.DemandContext` shared across every arity
-of a sweep.  Reconstruction re-derives the argmins on the O(n) visited
-segments only, with exact integer equality.
+The table is stored *length-major*, ``b[t, L, i] = B[t, i, L]``: for a
+fixed length every operand of the two inner reductions is then a row
+contiguous in the start ``i``.  When the native kernel loads
+(:func:`repro.core._native.load_kernel`), ``repro_dp_general`` fills the
+table in place with the add, the min and the running min over root
+splits fused into one pass per operand row.  Otherwise (no C toolchain,
+``REPRO_NATIVE=0``) :func:`_forward_numpy` fills the same table with
+O(n·k) NumPy dispatches over 2-D views; it is also the reference the
+kernel is tested against.  Both keep the paper's O(n³k) arithmetic.
+Demand-derived inputs (the dense demand and the boundary-crossing matrix)
+live in an immutable :class:`~repro.optimal.context.DemandContext` shared
+across every arity of a sweep.  Reconstruction reads the table through a
+transposed view, indexed ``B[t, i, L]``, and re-derives the argmins on the
+O(n) visited segments only, with exact integer equality.
 """
 
 from __future__ import annotations
@@ -32,11 +37,17 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from repro.core import _native
 from repro.core.keyspace import pad_values
 from repro.core.node import KAryNode
 from repro.core.tree import KAryTreeNetwork
 from repro.errors import OptimizationError
-from repro.optimal.context import INT_INF, DemandContext, demand_context
+from repro.optimal.context import (
+    INT_INF,
+    DemandContext,
+    check_kernel_buffer,
+    demand_context,
+)
 
 __all__ = ["OptimalTreeResult", "optimal_static_cost_table", "optimal_static_tree"]
 
@@ -82,70 +93,90 @@ def _resolve_context(demand, context: Optional[DemandContext]) -> DemandContext:
     return context
 
 
-def _forward(ctx: DemandContext, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Run the DP forward pass on a context; returns ``(B, W)``."""
-    if k < 2:
-        raise OptimizationError(f"arity k must be >= 2, got {k}")
-    n = ctx.n
-    w = ctx.w
-    b = np.full((k + 1, n + 2, n + 1), INT_INF, dtype=np.int64)
-    b[1:, :, 0] = 0
-    t_table = b[1]  # alias: single-tree costs
-    a0, a1 = b[2].strides  # strides of one (n+2, n+1) slice
-    reuse_len, t1_prefix = ctx.reuse_for(k)
-    # Preallocated scratch: the running minimum over roots and the
-    # diagonal-sum buffer (reused by both inner reductions every length).
-    acc = np.empty(n, dtype=np.int64)
-    sbuf = np.empty((n, n + 1), dtype=np.int64)
+def _new_table(n: int, k: int) -> np.ndarray:
+    """A zeroed length-major table, ``b[t, L, i] = B[t, i, L]`` for ``t < k``.
+
+    The forward pass writes every entry it later reads: rows ``L >= 1`` of
+    planes ``1 .. k - 1`` at the starts that fit (``i + L <= n``).  The
+    empty segments (``L = 0``) keep their cost 0.  Plane 0 is never read
+    (it keeps ``b[t]`` indexed by ``t``), and ``B[k]`` is left out: a
+    single tree spends at least one arity unit on each side, so no
+    recurrence reads it.
+    """
+    return np.zeros((k, n + 1, n + 1), dtype=np.int64)
+
+
+def _forward_numpy(b: np.ndarray, w: np.ndarray, k: int) -> None:
+    """Fill the length-major table ``b`` (from :func:`_new_table`) in place.
+
+    The reference for ``repro_dp_general``.  For each length the two inner
+    reductions run over 2-D views whose rows are contiguous in ``i``: plain
+    slices for the left operand, a diagonal of the ``(L, i)`` plane that
+    ``as_strided`` exposes for the right one.
+    """
+    n = b.shape[1] - 1
+    row, elem = b.strides[1:]  # one length row, one start
+    diagonal = (elem - row, elem)  # s -> one row shorter, one start later
+    best = np.empty(n, dtype=np.int64)
+    sbuf = np.empty((n, n), dtype=np.int64)
     for length in range(1, n + 1):
         m = n - length + 1
-        if length <= reuse_len and t1_prefix is not None:
-            # Arity-independent short segments: every routing-based tree
-            # on `length` identifiers splits at most `length - 1` ways at
-            # any node, so B[1, :, length] matches the prefix recorded by
-            # a previous run at arity >= length - 1.
-            b[1, 0:m, length] = t1_prefix[0:m, length]
-        else:
-            best = acc[:m]
-            best.fill(INT_INF)
-            out = sbuf[:length, :m]
-            for d in range(k - 1):  # dl = d + 1 left trees, k - dl right
-                # left[s, j] = B[dl, i=j, s]  (left forest on [i, i+s))
-                left = b[1 + d, 0:m, 0:length].T
-                # right[s, j] = B[k-dl, i=j+s+1, length-1-s] — a diagonal
-                # of the (i, L) plane, exposed as a contiguous 2-D view.
-                slab = b[k - 1 - d]
-                right = as_strided(
-                    slab[1:, length - 1 :],
-                    shape=(length, m),
-                    strides=(a0 - a1, a0),
-                )
-                np.add(left, right, out=out)
-                np.minimum(best, out.min(axis=0), out=best)
-            np.add(best, w[0:m, length], out=b[1, 0:m, length])
-        if length >= 2:
-            tview = as_strided(
-                t_table[:, 1:],
-                shape=(length - 1, m),
-                strides=(t_table.strides[1], t_table.strides[0]),
+        acc = best[:m]
+        acc.fill(INT_INF)
+        out = sbuf[:length, :m]
+        for dl in range(1, k):  # dl left trees, k - dl right
+            # left[s, i] = B[dl, i, s]: the left forest on [i, i + s)
+            left = b[dl, :length, :m]
+            # right[s, i] = B[k - dl, i + s + 1, length - 1 - s]
+            right = as_strided(
+                b[k - dl, length - 1, 1:], shape=(length, m), strides=diagonal
             )
-            fout = sbuf[: length - 1, :m]
-            for t in range(2, k + 1):
-                prev = b[t - 1]
-                bview = as_strided(
-                    prev[1:, length - 1 :],
-                    shape=(length - 1, m),
-                    strides=(a0 - a1, a0),
-                )
-                np.add(tview, bview, out=fout)
-                np.minimum(
-                    b[t - 1, 0:m, length], fout.min(axis=0), out=b[t, 0:m, length]
-                )
-        else:
-            for t in range(2, k + 1):
-                b[t, 0:m, length] = b[t - 1, 0:m, length]
-    ctx.offer(k, t_table)
-    return b, w
+            np.add(left, right, out=out)
+            np.minimum(acc, out.min(axis=0), out=acc)
+        np.add(acc, w[:m, length], out=b[1, length, :m])
+        if length == 1:
+            b[2:, 1, :m] = b[1, 1, :m]
+            continue
+        # head[s - 1, i] = B[1, i, s]: a first tree of length s ...
+        head = b[1, 1:length, :m]
+        fout = sbuf[: length - 1, :m]
+        for t in range(2, k):
+            # ... rest[s - 1, i] = B[t - 1, i + s, length - s] on the rest
+            rest = as_strided(
+                b[t - 1, length - 1, 1:],
+                shape=(length - 1, m),
+                strides=diagonal,
+            )
+            np.add(head, rest, out=fout)
+            np.minimum(
+                b[t - 1, length, :m], fout.min(axis=0), out=b[t, length, :m]
+            )
+
+
+def _forward_native(kernel, b: np.ndarray, w: np.ndarray, k: int) -> None:
+    """Fill ``b`` in place with the kernel's ``repro_dp_general``."""
+    n = b.shape[1] - 1
+    check_kernel_buffer(b, (k, n + 1, n + 1))
+    check_kernel_buffer(w, (n + 1, n + 1))
+    if kernel.repro_dp_general(b.ctypes.data, w.ctypes.data, n, k, int(INT_INF)):
+        raise MemoryError("repro_dp_general could not allocate its scratch row")
+
+
+def _forward(ctx: DemandContext, k: int) -> np.ndarray:
+    """Run the DP forward pass on a context; returns ``B`` indexed ``[t, i, L]``.
+
+    The table is stored length-major; the returned array is a transposed
+    view of it, so reconstruction indexes ``B[t, i, L]`` as the paper does.
+    """
+    if k < 2:
+        raise OptimizationError(f"arity k must be >= 2, got {k}")
+    b = _new_table(ctx.n, k)
+    kernel = _native.load_kernel()
+    if kernel is None:
+        _forward_numpy(b, ctx.w, k)
+    else:
+        _forward_native(kernel, b, ctx.w, k)
+    return b.transpose(0, 2, 1)
 
 
 def optimal_static_cost_table(
@@ -159,8 +190,7 @@ def optimal_static_cost_table(
     so repeated calls across arities share automatically.
     """
     ctx = _resolve_context(demand, context)
-    b, _ = _forward(ctx, k)
-    return int(b[1, 0, ctx.n])
+    return int(_forward(ctx, k)[1, 0, ctx.n])
 
 
 # ----------------------------------------------------------------------
@@ -257,7 +287,8 @@ def optimal_static_tree(
     """Theorem 2: optimal static routing-based k-ary search tree network.
 
     ``demand`` is a :class:`DemandMatrix` or a dense 0-indexed count array.
-    Runs in O(n³k) arithmetic / O(n k) NumPy dispatches and O(n²k) memory;
+    Runs in O(n³k) arithmetic (in the native kernel when it loads, else in
+    O(n·k) NumPy dispatches) and O(n²k) memory;
     ``context`` (default: the process-memoized one for this demand; an
     explicit one must be built from this demand) shares the
     demand-derived inputs across the arities of a sweep.
@@ -266,7 +297,8 @@ def optimal_static_tree(
     n = ctx.n
     if n < 1:
         raise OptimizationError("demand must cover at least one node")
-    b, w = _forward(ctx, k)
+    b = _forward(ctx, k)
+    w = ctx.w
     import sys
 
     old_limit = sys.getrecursionlimit()

@@ -159,6 +159,7 @@ def _worker_main(
     shard_index: int,
     hb_interval: float,
     checkpoint_every: Optional[int],
+    parent_ends: tuple = (),
 ) -> None:
     """One shard's serve loop: sessions owned here, commands via pipe.
 
@@ -179,7 +180,18 @@ def _worker_main(
     Liveness is out of band: when ``hb_interval > 0`` a daemon thread
     beats on ``hb_conn`` so a stuck or dead worker is visible to the
     supervisor without touching the command pipe.
+
+    ``parent_ends`` are the farm-side pipe ends a forked worker inherits:
+    its own, its heartbeat pipe's and every other shard's.  They are
+    closed first, so once the farm process is gone — even by a hard
+    exit that never sends ``close`` — ``conn.recv()`` sees EOF and the
+    worker exits instead of lingering as an orphan.
     """
+    for inherited in parent_ends:
+        try:
+            inherited.close()
+        except OSError:  # pragma: no cover - already closed by the farm
+            pass
     # Imports inside the worker: with the spawn start method this module
     # is re-imported fresh, and the kernel loads (or degrades to flat)
     # per process.
@@ -446,6 +458,21 @@ class ServeFarm:
             # reads.  EOF on it is the fastest possible death signal.
             hb_parent, hb_child = self._ctx.Pipe(duplex=False)
             hb_interval = self.health_config.interval
+        parent_ends: tuple = ()
+        if self._ctx.get_start_method() == "fork":
+            # A forked child inherits every farm-side end open right now;
+            # a spawned one inherits none (and must not be sent any).
+            parent_ends = tuple(
+                end
+                for end in (
+                    parent_conn,
+                    hb_parent,
+                    *self._conns,
+                    *self._hb_conns,
+                    *self._hb_graveyard,
+                )
+                if end is not None
+            )
         proc = self._ctx.Process(
             target=_worker_main,
             args=(
@@ -455,6 +482,7 @@ class ServeFarm:
                 shard,
                 hb_interval,
                 self.checkpoint_every,
+                parent_ends,
             ),
             daemon=True,
             name=f"repro-serve-shard-{shard}",

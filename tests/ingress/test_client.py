@@ -22,6 +22,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,21 @@ def _spawn_server(*args: str, **env_extra: str) -> tuple:
     match = re.match(r"ingress listening on (\S+):(\d+)", line)
     assert match, f"no readiness line, got {line!r}"
     return proc, match.group(1), int(match.group(2))
+
+
+def _process_alive(pid: int) -> bool:
+    """Whether ``pid`` runs; a zombie awaiting its reaper counts as gone."""
+    if os.path.isdir("/proc/self"):
+        try:
+            with open(f"/proc/{pid}/stat") as stat:
+                return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+        except FileNotFoundError:
+            return False
+    try:  # no procfs: a signal-0 probe
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 class TestBlockingClient:
@@ -334,9 +350,18 @@ class TestDispatchFault:
         )
         client = IngressClient(host, port, retry=RetryPolicy(retries=0))
         try:
+            (shard,) = client.metrics()["shards"]
+            worker_pid = shard["pid"]
+            assert worker_pid and _process_alive(worker_pid)
             with pytest.raises(IngressConnectionError):
                 client.serve("a", 1, 9)
             assert proc.wait(timeout=30) == 77  # kill_process exit code
+            # The hard exit never told the shard worker to close: it must
+            # notice its parent's pipes hit EOF and exit on its own.
+            deadline = time.monotonic() + 5.0
+            while _process_alive(worker_pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _process_alive(worker_pid), "orphaned shard worker"
             assert default_retry_policy().is_transient(
                 IngressConnectionError("downed mid-stream")
             )

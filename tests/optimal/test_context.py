@@ -1,4 +1,4 @@
-"""The DP subsystem's shared demand context and cross-arity reuse."""
+"""The DP subsystem's shared demand context and its per-process memo."""
 
 from __future__ import annotations
 
@@ -65,6 +65,21 @@ class TestDemandContext:
         with pytest.raises(OptimizationError):
             DemandContext.from_demand(d)
 
+    def test_w_is_read_only_and_survives_a_sweep(self, rng):
+        d = random_demand(rng, 12)
+        ctx = DemandContext.from_demand(d)
+        before = ctx.w.copy()
+        with pytest.raises(ValueError):
+            ctx.w[0, 1] = 0
+        for k in (2, 5):
+            optimal_static_tree(d, k, context=ctx)
+        assert np.array_equal(ctx.w, before)
+
+    def test_rejects_w_of_the_wrong_shape(self, rng):
+        d = random_demand(rng, 6)
+        with pytest.raises(OptimizationError):
+            DemandContext(d, boundary_crossing_matrix(d)[:, :-1])
+
     def test_mismatched_context_is_rejected(self, rng):
         ctx = DemandContext.from_demand(random_demand(rng, 8))
         with pytest.raises(OptimizationError):
@@ -85,23 +100,10 @@ class TestCrossArityReuse:
             )
             assert shared == fresh == int(round(legacy_optimal_cost_table(d, k)))
 
-    def test_reuse_prefix_grows_to_widest_arity(self, rng):
-        ctx = DemandContext.from_demand(random_demand(rng, 12))
-        assert ctx.reuse_for(5) == (0, None)
-        optimal_static_cost_table(ctx.dense, 3, context=ctx)
-        length, prefix = ctx.reuse_for(5)
-        assert length == 3 and prefix is not None
-        optimal_static_cost_table(ctx.dense, 6, context=ctx)
-        length, _ = ctx.reuse_for(5)
-        assert length == 5  # min(stored arity 6, requested 5)
-        optimal_static_cost_table(ctx.dense, 2, context=ctx)
-        length, _ = ctx.reuse_for(9)
-        assert length == 6  # narrower runs never shrink the prefix
-
     def test_reconstruction_agrees_with_seeded_tables(self, rng):
         d = random_demand(rng, 18)
         ctx = DemandContext.from_demand(d)
-        optimal_static_cost_table(d, 8, context=ctx)  # widest first: max seeding
+        optimal_static_cost_table(d, 8, context=ctx)  # an earlier, wider run
         for k in (2, 3, 5):
             seeded = optimal_static_tree(d, k, context=ctx)
             fresh = optimal_static_tree(
