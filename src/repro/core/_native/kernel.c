@@ -992,7 +992,8 @@ void repro_tree_destroy(void *handle)
  * general.py and uniform.py are the statement-for-statement reference.
  *
  * Only these two functions get an AVX2 clone: the int64 min of the inner
- * loops has no SSE2 form, and the clone doubles their speed.  The guard
+ * loops has no SSE2 form, and the clone runs the general pass ~1.6x
+ * faster than the baseline -O3 build.  The guard
  * keeps the attribute to targets that resolve clones through ifuncs, so
  * it can never break the serve kernel's build elsewhere.
  * ==================================================================== */
@@ -1026,6 +1027,8 @@ int64_t repro_dp_general(int64_t *b, const int64_t *w, int64_t n, int64_t k,
 {
     const int64_t R = n + 1;  /* one length row: every start i */
     const int64_t P = R * R;  /* one t-plane */
+    /* Only ``best`` is restrict: it is the one buffer the inner loops
+     * write, and every other pointer reads or writes inside ``b``. */
     int64_t *restrict best = (int64_t *)malloc((size_t)R * sizeof(int64_t));
     if (!best)
         return 1;
@@ -1036,8 +1039,8 @@ int64_t repro_dp_general(int64_t *b, const int64_t *w, int64_t n, int64_t k,
             best[i] = inf;
         for (int64_t s = 0; s < L; s++) {
             for (int64_t dl = 1; dl < k; dl++) {
-                const int64_t *restrict left = b + dl * P + s * R;
-                const int64_t *restrict right =
+                const int64_t *left = b + dl * P + s * R;
+                const int64_t *right =
                     b + (k - dl) * P + (L - 1 - s) * R + s + 1;
                 for (int64_t i = 0; i < m; i++) {
                     const int64_t v = left[i] + right[i];
@@ -1045,19 +1048,19 @@ int64_t repro_dp_general(int64_t *b, const int64_t *w, int64_t n, int64_t k,
                 }
             }
         }
-        int64_t *restrict out = b + P + L * R;
+        int64_t *out = b + P + L * R;
         for (int64_t i = 0; i < m; i++)
             out[i] = best[i] + w[i * R + L];
         /* t >= 2: at most t - 1 trees, or a first tree of length s
          * followed by at most t - 1 trees on the rest. */
-        const int64_t *restrict first_tree = b + P;
+        const int64_t *first_tree = b + P;
         for (int64_t t = 2; t < k; t++) {
-            const int64_t *restrict fewer = b + (t - 1) * P;
+            const int64_t *fewer = b + (t - 1) * P;
             for (int64_t i = 0; i < m; i++)
                 best[i] = fewer[L * R + i];
             for (int64_t s = 1; s < L; s++) {
-                const int64_t *restrict head = first_tree + s * R;
-                const int64_t *restrict rest = fewer + (L - s) * R + s;
+                const int64_t *head = first_tree + s * R;
+                const int64_t *rest = fewer + (L - s) * R + s;
                 for (int64_t i = 0; i < m; i++) {
                     const int64_t v = head[i] + rest[i];
                     best[i] = v < best[i] ? v : best[i];

@@ -102,6 +102,7 @@ class DemandContext:
 
     def __init__(self, dense: np.ndarray, w: np.ndarray) -> None:
         self.dense = dense
+        # A view: marking it read-only leaves a caller's array writable.
         self.w = np.ascontiguousarray(w, dtype=np.int64).view()
         self.w.setflags(write=False)
         self.total = _exact_total(dense)

@@ -349,6 +349,7 @@ class TestDispatchFault:
             "--shards", "1", **{FAULTS_ENV: plan.to_env()}
         )
         client = IngressClient(host, port, retry=RetryPolicy(retries=0))
+        worker_pid = None
         try:
             (shard,) = client.metrics()["shards"]
             worker_pid = shard["pid"]
@@ -377,6 +378,11 @@ class TestDispatchFault:
             client.close()
             if proc.poll() is None:
                 proc.kill()
+            if worker_pid and _process_alive(worker_pid):
+                try:  # never leave an orphan behind a failed assertion
+                    os.kill(worker_pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
 
 class TestAsyncClient:
