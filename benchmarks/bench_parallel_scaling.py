@@ -1,8 +1,9 @@
 """Parallel harness: correctness at scale and multi-process speedup.
 
-Regenerates one k-ary table serially and with worker processes, asserts
-bit-identical results (the harness is an accelerator, not a fork of the
-logic), and reports the speedup.  Speedup is informational — CI boxes vary —
+Regenerates one k-ary table serially and with worker processes (the same
+``run_kary_table`` with ``jobs``), asserts bit-identical results (the
+harness is an accelerator, not a fork of the logic), and reports the
+speedup.  Speedup is informational — CI boxes vary —
 but equality is a hard gate.
 """
 
@@ -11,7 +12,6 @@ import time
 
 from conftest import run_once
 
-from repro.experiments.parallel_runner import run_kary_table_parallel
 from repro.experiments.tables import run_kary_table
 
 
@@ -24,7 +24,7 @@ def test_parallel_scaling(benchmark, scale, record_table):
         t0 = time.perf_counter()
         serial = run_kary_table(workload, scale=scale, ks=ks, include_optimal=False)
         t1 = time.perf_counter()
-        parallel = run_kary_table_parallel(
+        parallel = run_kary_table(
             workload, scale=scale, ks=ks, include_optimal=False, jobs=jobs
         )
         t2 = time.perf_counter()

@@ -1,11 +1,13 @@
 #!/usr/bin/env python
 """Parallel parameter sweep: arity × workload over worker processes.
 
-Sweeps the k-ary SplayNet's routing cost over a (k, workload) grid using
-the deterministic sweep engine — every cell regenerates its trace from a
-derived seed inside the worker, so results are bit-identical for any job
-count.  Prints the paper's central finding: routing cost falls as k grows,
-on every workload.
+Sweeps the k-ary SplayNet's routing cost over a (k, workload) grid.  The
+grid is a plain list of ``ScenarioSpec`` cells run by ``run_specs`` — the
+same runner behind the paper's tables — so every cell regenerates its trace
+inside the worker and results are bit-identical for any job count.  Each
+workload gets one seed derived from a root seed, so all arities of a
+workload serve the same trace.  Prints the paper's central finding: routing
+cost falls as k grows, on every workload.
 
 Run:  python examples/parallel_sweep.py [jobs]     (default: cores - 1)
 """
@@ -13,53 +15,45 @@ Run:  python examples/parallel_sweep.py [jobs]     (default: cores - 1)
 import sys
 
 from repro import bar_chart
-from repro.parallel import SweepSpec, cpu_jobs, run_sweep
-from repro.parallel.sweep import SweepCell
-from repro.parallel.tasks import SimulationTask, run_simulation_task
+from repro.parallel import cpu_jobs, seed_for_cell
+from repro.scenarios import ScenarioSpec, run_specs
 
 N = 128
 M = 8_000
-
-
-def simulate_cell(cell: SweepCell) -> float:
-    """One grid point: average routing cost of k-ary SplayNet (module-level
-    so it pickles into worker processes)."""
-    task = SimulationTask(
-        workload=cell["workload"],
-        n=N,
-        m=M,
-        seed=cell.seed,
-        algorithm="kary-splaynet",
-        k=cell["k"],
-    )
-    return run_simulation_task(task).average_routing
+WORKLOADS = ("uniform", "temporal-0.5", "temporal-0.9", "hpc")
+KS = (2, 3, 4, 6, 8)
+ROOT_SEED = 2024
 
 
 def main() -> None:
     jobs = int(sys.argv[1]) if len(sys.argv) > 1 else cpu_jobs()
-    spec = SweepSpec(
-        axes={
-            "workload": ("uniform", "temporal-0.5", "temporal-0.9", "hpc"),
-            "k": (2, 3, 4, 6, 8),
-        },
-        root_seed=2024,
-    )
-    print(f"sweeping {spec.size()} cells over {jobs} worker process(es)...")
-    result = run_sweep(simulate_cell, spec, jobs=jobs)
+    specs = [
+        ScenarioSpec(
+            workload=workload,
+            n=N,
+            m=M,
+            seed=seed_for_cell(ROOT_SEED, {"workload": workload}),
+            algorithm="kary-splaynet",
+            k=k,
+        )
+        for workload in WORKLOADS
+        for k in KS
+    ]
+    print(f"sweeping {len(specs)} cells over {jobs} worker process(es)...")
+    results = run_specs(specs, jobs=jobs, cache=False)
 
-    for workload in result.axis_values("workload"):
-        sub = result.select(workload=workload)
-        rows = [
-            (f"k={cell['k']}", round(value, 3))
-            for cell, value in zip(sub.cells, sub.values)
-        ]
+    for workload in WORKLOADS:
+        costs = {
+            r.spec.k: r.average_routing
+            for r in results
+            if r.spec.workload == workload
+        }
         print(f"\n{workload}: average routing cost by arity")
-        print(bar_chart(rows))
-        ks = [cell["k"] for cell in sub.cells]
-        costs = dict(zip(ks, sub.values))
-        trend = "falls" if costs[max(ks)] < costs[2] else "does NOT fall"
+        print(bar_chart([(f"k={k}", round(cost, 3)) for k, cost in costs.items()]))
+        top = max(KS)
+        trend = "falls" if costs[top] < costs[2] else "does NOT fall"
         print(f"  → cost {trend} with k "
-              f"({costs[2]:.2f} at k=2 → {costs[max(ks)]:.2f} at k={max(ks)})")
+              f"({costs[2]:.2f} at k=2 → {costs[top]:.2f} at k={top})")
 
 
 if __name__ == "__main__":

@@ -99,12 +99,7 @@ from repro.serving import (
     ShardRouter,
     shard_for_key,
 )
-from repro.parallel import (
-    ParallelConfig,
-    SweepSpec,
-    parallel_map,
-    run_sweep,
-)
+from repro.parallel import ParallelConfig, parallel_map
 from repro.reliability import (
     ChaosConfig,
     FaultPlan,
@@ -284,8 +279,6 @@ __all__ = [
     # parallel execution
     "ParallelConfig",
     "parallel_map",
-    "SweepSpec",
-    "run_sweep",
     # reliability (fault injection, retry, chaos soak)
     "FaultPlan",
     "inject_faults",

@@ -3,11 +3,12 @@
 Every network in the repository — the paper's online self-adjusting
 structures, the static baselines, the adjustment-policy wrappers, and any
 user-registered algorithm — is built through :func:`build_network` from a
-:class:`~repro.net.spec.NetworkSpec`.  The experiment layers
-(:mod:`repro.parallel.tasks`, :mod:`repro.scenarios`), the CLI and the
-examples all construct through here, so adding an algorithm is one
-:func:`register_network` call away from every surface at once (scenario
-grids, parallel sweeps, sessions, ``repro simulate``).
+:class:`~repro.net.spec.NetworkSpec`.  Campaign cells
+(:func:`repro.parallel.tasks.run_simulation_task`, run by
+:func:`repro.scenarios.run_specs`), the CLI and the examples all construct
+through here, so adding an algorithm is one :func:`register_network` call
+away from every surface at once (scenario grids, sessions, the serve farm,
+``repro simulate``).
 
 Built-in algorithms:
 

@@ -72,7 +72,7 @@ def cpu_jobs(reserve: int = 1, *, cap: Optional[int] = None) -> int:
 
 @dataclass(frozen=True)
 class ParallelConfig:
-    """Execution knobs shared by :func:`parallel_map` and the sweep engine.
+    """Execution knobs of :func:`parallel_map` and the campaign runner.
 
     Attributes
     ----------

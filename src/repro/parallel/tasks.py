@@ -1,32 +1,30 @@
-"""Picklable task functions for parallel experiment cells.
+"""Worker-side execution of one trace-driven campaign cell.
 
-Every function here is module-level (so it pickles under any multiprocessing
-start method) and takes a small frozen dataclass describing the cell.  Tasks
-*regenerate* their workload inside the worker from ``(workload, n, m,
-seed)`` — shipping four scalars instead of a million-row trace array keeps
-IPC negligible and makes cells independent of parent-process state.
-Regenerated traces are memoized per worker process (see
-:func:`materialize_trace_cached`), so the up-to-27 cells of one paper table
-materialize their shared trace once per worker rather than once per cell.
+Every function here is module-level, so it pickles under any
+multiprocessing start method.  :func:`run_simulation_task` takes the
+cell's :class:`~repro.scenarios.spec.ScenarioSpec` and *regenerates* the
+workload inside the worker from ``(workload, n, m, seed)`` — shipping four
+scalars instead of a million-row trace array keeps IPC negligible and
+makes cells independent of parent-process state.  Regenerated traces are
+memoized per worker process (see :func:`materialize_trace_cached`), so the
+up-to-27 cells of one paper table materialize their shared trace once per
+worker rather than once per cell.
 
-Supported algorithm names (``SimulationTask.algorithm``) are whatever the
-network construction registry (:mod:`repro.net.registry`) knows: the
-built-ins (``kary-splaynet``, ``centroid-splaynet``, ``splaynet``,
-``lazy``, ``full-tree``, ``centroid-tree``, ``optimal-tree``,
-``optimal-bst``) plus anything added via
-:func:`repro.net.register_network` — a registered algorithm is
-immediately runnable as a parallel experiment cell, no table edits here.
+Supported algorithm names are whatever the network construction registry
+(:mod:`repro.net.registry`) knows: the built-ins (``kary-splaynet``,
+``centroid-splaynet``, ``splaynet``, ``lazy``, ``full-tree``,
+``centroid-tree``, ``optimal-tree``, ``optimal-bst``) plus anything added
+via :func:`repro.net.register_network` — a registered algorithm is
+immediately runnable as a campaign cell, no table edits here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING
 
-from repro.core.engine import ENGINES
 from repro.errors import ExperimentError
 from repro.net.registry import build_network, require_algorithm
-from repro.net.spec import NetworkSpec, freeze_params
+from repro.net.spec import NetworkSpec
 from repro.network.simulator import Simulator
 from repro.workloads.datacenter import facebook_trace, hpc_trace, projector_trace
 from repro.workloads.demand import DemandMatrix
@@ -38,11 +36,11 @@ from repro.workloads.synthetic import (
 )
 from repro.workloads.trace import Trace
 
+if TYPE_CHECKING:
+    from repro.scenarios.spec import ScenarioSpec
+
 __all__ = [
-    "SimulationTask",
-    "SimulationTaskResult",
     "run_simulation_task",
-    "static_cost_task",
     "materialize_trace",
     "materialize_trace_cached",
     "materialize_demand_cached",
@@ -122,7 +120,7 @@ def materialize_trace_cached(workload: str, n: int, m: int, seed: int) -> Trace:
 def seed_trace_cache(trace: Trace, workload: str, seed: int) -> tuple[str, int, int, int]:
     """Pre-seed (and pin) the memo with an explicit trace; returns the key.
 
-    Used by the serial experiment adapters when a caller hands them a
+    Used by :func:`repro.scenarios.run_specs` when a caller hands it a
     pre-built trace instead of workload coordinates.  Pinned entries are
     exempt from eviction until :func:`evict_trace` / :func:`clear_trace_cache`.
     """
@@ -153,14 +151,14 @@ def clear_trace_cache() -> None:
     _trace_cache_misses = 0
 
 
-def materialize_demand_cached(trace: Trace, task: "SimulationTask") -> DemandMatrix:
-    """The demand matrix of a task's trace, memoized per process.
+def materialize_demand_cached(trace: Trace, spec: "ScenarioSpec") -> DemandMatrix:
+    """The demand matrix of a cell's trace, memoized per process.
 
-    Keyed by the task's trace coordinates (the same key as the trace
-    memo, and evicted alongside it), so the up-to-9 static-optimum cells
-    of a table row count their shared trace into a matrix once.
+    Keyed by ``spec.trace_key()`` (the same key as the trace memo, and
+    evicted alongside it), so the up-to-9 static-optimum cells of a
+    table row count their shared trace into a matrix once.
     """
-    key = (task.workload, task.n, task.m, task.seed)
+    key = spec.trace_key()
     demand = _DEMAND_CACHE.get(key)
     if demand is None:
         if len(_DEMAND_CACHE) >= _TRACE_CACHE_MAX:
@@ -181,107 +179,37 @@ def trace_cache_stats() -> dict[str, int]:
 
 
 # ----------------------------------------------------------------------
-# the task objects
+# the cell runner
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SimulationTask:
-    """One experiment cell: a workload served by one algorithm.
+def run_simulation_task(spec: "ScenarioSpec") -> tuple[int, int, int]:
+    """Execute one trace-driven cell; ``(routing, rotations, links)``.
 
-    Attributes
-    ----------
-    workload, n, m, seed:
-        Trace coordinates, regenerated in the worker.
-    algorithm:
-        A name registered in :mod:`repro.net.registry` (online or static).
-    k:
-        Tree arity (ignored by the binary baselines).
-    engine:
-        Tree-engine backend for engine-capable algorithms (``None`` = the
-        process default; ignored by the rest).
-    initial:
-        Initial topology name for ``kary-splaynet``.
-    params:
-        Frozen ``(name, value)`` algorithm parameters, forwarded to the
-        network constructor (e.g. ``alpha`` for ``lazy``).
+    The trace is regenerated (memoized) from the spec's coordinates and
+    the network is built through :func:`repro.net.build_network` on
+    ``spec.resolved_engine()``, so ``engine=None`` runs on the flat
+    engine.  Static baselines are costed through their precomputed
+    distance oracle in one vectorized ``serve_trace`` query (no
+    simulation loop); online algorithms run the full trace through the
+    simulator.  Demand-aware constructions receive the per-process
+    memoized demand matrix (:func:`materialize_demand_cached`), so an
+    arity sweep over one workload counts its trace into a matrix once.
     """
-
-    workload: str
-    n: int
-    m: int
-    seed: int
-    algorithm: str
-    k: int = 2
-    engine: Optional[str] = None
-    initial: str = "complete"
-    params: tuple = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "params", freeze_params(self.params))
-        require_algorithm(self.algorithm)
-        if self.k < 2:
-            raise ExperimentError(f"k must be >= 2, got {self.k}")
-        if self.engine is not None and self.engine not in ENGINES:
-            raise ExperimentError(
-                f"unknown engine {self.engine!r}; choose from {ENGINES}"
-            )
-
-    def network_spec(self) -> NetworkSpec:
-        """The construction spec this cell builds its network from."""
-        return NetworkSpec(
-            algorithm=self.algorithm,
-            n=self.n,
-            k=self.k,
-            engine=self.engine,
-            initial=self.initial,
-            params=self.params,
-        )
-
-
-@dataclass(frozen=True)
-class SimulationTaskResult:
-    """Scalar outcomes of one cell (small: safe to pipe back to the parent)."""
-
-    task: SimulationTask
-    total_routing: int
-    total_rotations: int
-    total_links_changed: int
-
-    @property
-    def average_routing(self) -> float:
-        return self.total_routing / self.task.m if self.task.m else 0.0
-
-
-def run_simulation_task(task: SimulationTask) -> SimulationTaskResult:
-    """Execute one cell: regenerate the trace, run the algorithm, reduce.
-
-    Both kinds build through :func:`repro.net.build_network`.  Static
-    baselines are costed through their precomputed distance oracle in one
-    vectorized ``serve_trace`` query (no simulation loop); online
-    algorithms run the full trace through the simulator.  Demand-aware
-    constructions receive the per-process memoized demand matrix
-    (:func:`materialize_demand_cached`), so an arity sweep over one
-    workload counts its trace into a matrix once.
-    """
-    trace = materialize_trace_cached(task.workload, task.n, task.m, task.seed)
-    entry = require_algorithm(task.algorithm)
+    entry = require_algorithm(spec.algorithm)
+    trace = materialize_trace_cached(*spec.trace_key())
+    network_spec = NetworkSpec(
+        algorithm=spec.algorithm,
+        n=spec.n,
+        k=spec.k,
+        engine=spec.resolved_engine(),
+        initial=spec.initial,
+        params=spec.params,
+    )
     if entry.kind == "static":
         demand = (
-            materialize_demand_cached(trace, task) if entry.needs_demand else None
+            materialize_demand_cached(trace, spec) if entry.needs_demand else None
         )
-        network = build_network(task.network_spec(), demand=demand)
-        cost = int(network.serve_trace(trace.sources, trace.targets).total_routing)
-        return SimulationTaskResult(task, cost, 0, 0)
-    network = build_network(task.network_spec())
-    run = Simulator().run(network, trace)
-    return SimulationTaskResult(
-        task, run.total_routing, run.total_rotations, run.total_links_changed
-    )
-
-
-def static_cost_task(task: SimulationTask) -> int:
-    """Cost-only variant for static baselines (used by sweep reductions)."""
-    if require_algorithm(task.algorithm).kind != "static":
-        raise ExperimentError(
-            f"static_cost_task requires a static algorithm, got {task.algorithm!r}"
-        )
-    return run_simulation_task(task).total_routing
+        network = build_network(network_spec, demand=demand)
+        cost = network.serve_trace(trace.sources, trace.targets).total_routing
+        return int(cost), 0, 0
+    run = Simulator().run(build_network(network_spec), trace)
+    return run.total_routing, run.total_rotations, run.total_links_changed

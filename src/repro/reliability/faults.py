@@ -31,7 +31,7 @@ interpreted by the site):
                        (``error`` raises :class:`FaultInjected`;
                        ``kill`` hard-exits the worker process —
                        a SIGKILL stand-in producing ``BrokenProcessPool``)
-``sink.write``         in :meth:`JsonlResultSink.write` (``error`` fails the
+``sink.write``         in :meth:`JsonlStore.write` (``error`` fails the
                        write; ``truncate`` leaves a torn partial line on
                        disk, then fails — a mid-``write`` SIGKILL stand-in)
 ``native.load``        in the native kernel loader (``corrupt`` overwrites

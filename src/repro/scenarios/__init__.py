@@ -6,12 +6,14 @@ grid as *data*.  :class:`ScenarioSpec` names one cell; the registry expands
 the paper's Tables 1–8 and Remark 10 (plus any user-registered campaign)
 into spec lists; :func:`run_specs` executes any spec list serially or
 across worker processes with per-worker trace memoization and the flat
-tree engine as the online default; :class:`JsonlResultSink` streams results
-to ``benchmarks/results/``.
+tree engine as the online default, streaming results into any
+:mod:`repro.results` store (e.g. :class:`repro.results.JsonlStore` under
+``benchmarks/results/``).
 
-The classic experiment entry points (``repro.experiments.tables``,
-``run_all``, the parallel runners, simulation sweeps) are thin adapters
-over this package — same result objects, one execution core.
+A campaign is a spec list and :func:`run_specs` is its only runner: the
+table functions in ``repro.experiments.tables`` and ``run_all`` build spec
+lists and pass their ``jobs`` straight through, so a parallel table is the
+serial table with ``jobs=N`` — same result objects, one execution core.
 
 Typical use::
 
@@ -41,12 +43,10 @@ from repro.scenarios.registry import (
 )
 from repro.scenarios.core import (
     ScenarioResult,
-    run_cells,
     run_scenario,
     run_specs,
 )
-from repro.scenarios.sink import (
-    JsonlResultSink,
+from repro.results import (
     default_results_path,
     iter_results_jsonl,
     read_results_jsonl,
@@ -76,9 +76,7 @@ __all__ = [
     "scenario_names",
     "expand",
     "run_scenario",
-    "run_cells",
     "run_specs",
-    "JsonlResultSink",
     "default_results_path",
     "iter_results_jsonl",
     "read_results_jsonl",

@@ -39,8 +39,8 @@ import tempfile
 from pathlib import Path
 from typing import Any, Optional, Union
 
+from repro.results.paths import results_root
 from repro.scenarios.core import ScenarioResult
-from repro.scenarios.sink import results_root
 from repro.scenarios.spec import ScenarioSpec
 
 __all__ = [

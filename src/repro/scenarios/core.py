@@ -1,28 +1,34 @@
 """The one execution core: run any spec list, serially or across processes.
 
-Every experiment surface of the repository — the serial table functions,
-the parallel table runners, ``run_all``, the sweep engine's simulation
-cells and the ``repro scenarios`` CLI — funnels through
-:func:`run_specs` / :func:`run_cells` here.  That buys three properties in
-one place instead of three divergent code paths:
+A campaign is a list of :class:`~repro.scenarios.spec.ScenarioSpec` cells
+run by :func:`run_specs`.  Every experiment surface of the repository —
+the table functions, ``run_all`` and the ``repro scenarios`` CLI — builds
+a spec list and funnels it through here.  That buys three properties in
+one place:
 
-* **Determinism** — results are reassembled in submission order, so a run
-  is bit-identical for any worker count.
+* **Determinism** — results are reassembled in spec order, so a run is
+  bit-identical for any worker count.
 * **Trace memoization** — cells share the per-process trace memo of
   :mod:`repro.parallel.tasks`, so a table's up-to-27 cells materialize the
   workload once per worker instead of once per cell.
 * **Engine policy** — engine-capable online cells default to the flat
   structure-of-arrays backend (≈3× the object engine on the serve loop);
   ``engine="object"`` remains one field away for cross-checks.
+
+Every cell that is neither resumed nor a result-cache hit runs through
+:func:`repro.parallel.pool.parallel_map_outcomes`, for every job count:
+``jobs=1`` is that executor's in-process path, so retries, fault points
+and failure handling are the same code serially and pooled.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, TypeVar
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.analysis.distance import total_distance_via_potentials
 from repro.core.builders import build_complete_tree
@@ -30,12 +36,7 @@ from repro.core.centroid import build_centroid_tree
 from repro.errors import ExperimentError
 from repro.network.cost import CostModel, ROUTING_ONLY, UNIT_ROTATIONS
 from repro.optimal.uniform import optimal_uniform_cost
-from repro.parallel.pool import (
-    ParallelConfig,
-    _call_item,
-    parallel_map,
-    parallel_map_outcomes,
-)
+from repro.parallel.pool import ParallelConfig, parallel_map_outcomes
 from repro.parallel.tasks import (
     evict_trace,
     run_simulation_task,
@@ -44,10 +45,7 @@ from repro.parallel.tasks import (
 from repro.scenarios.spec import ScenarioSpec
 from repro.workloads.trace import Trace
 
-__all__ = ["ScenarioResult", "run_scenario", "run_cells", "run_specs"]
-
-T = TypeVar("T")
-R = TypeVar("R")
+__all__ = ["ScenarioResult", "run_scenario", "run_specs"]
 
 #: Analytic algorithm → closed-form cost in unordered-pair units.
 _ANALYTIC: dict[str, Callable[[int, int], int]] = {
@@ -116,39 +114,16 @@ class ScenarioResult:
 def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """Execute one cell (module-level, so it pickles into workers).
 
-    Analytic cells evaluate their closed form; online/static cells bridge
-    to :func:`repro.parallel.tasks.run_simulation_task`, inheriting the
-    worker-side trace memo and the engine threading.
+    Analytic cells evaluate their closed form; online/static cells run
+    through :func:`repro.parallel.tasks.run_simulation_task`, inheriting
+    the worker-side trace memo and the engine default.
     """
     start = time.perf_counter()
     if spec.kind == "analytic":
-        cost = _ANALYTIC[spec.algorithm](spec.n, spec.k)
-        return ScenarioResult(spec, cost, 0, 0, time.perf_counter() - start)
-    cell = run_simulation_task(spec.task())
-    return ScenarioResult(
-        spec,
-        cell.total_routing,
-        cell.total_rotations,
-        cell.total_links_changed,
-        time.perf_counter() - start,
-    )
-
-
-def run_cells(
-    fn: Callable[[T], R],
-    cells: Iterable[T],
-    *,
-    jobs: int = 1,
-    config: Optional[ParallelConfig] = None,
-) -> list[R]:
-    """The execution chokepoint: ordered map over cells, serial or pooled.
-
-    ``jobs=1`` (default) runs in-process; ``jobs=0``/negative resolves to
-    all cores; an explicit :class:`ParallelConfig` overrides ``jobs``.
-    Both :func:`run_specs` and the sweep engine
-    (:func:`repro.parallel.sweep.run_sweep`) execute through here.
-    """
-    return parallel_map(fn, cells, config=config, jobs=None if config else jobs)
+        totals = (_ANALYTIC[spec.algorithm](spec.n, spec.k), 0, 0)
+    else:
+        totals = run_simulation_task(spec)
+    return ScenarioResult(spec, *totals, time.perf_counter() - start)
 
 
 def run_specs(
@@ -167,9 +142,11 @@ def run_specs(
     Parameters
     ----------
     jobs, config:
-        Worker processes (see :func:`run_cells`).  The config's
-        reliability knobs apply on every path: ``retries``/``backoff``
-        re-attempt transiently failing cells (serial and pooled),
+        Worker processes: ``1`` (default) runs in-process, ``0`` or
+        negative resolves to :func:`repro.parallel.cpu_jobs`; an explicit
+        :class:`ParallelConfig` overrides ``jobs``.  The config's
+        reliability knobs apply at every job count: ``retries``/
+        ``backoff`` re-attempt transiently failing cells,
         ``task_timeout``/``pool_respawns`` bound stuck and killed workers
         (pooled), and ``on_error="collect"`` turns per-cell failures into
         skipped cells — a warning per failure, the campaign completes,
@@ -182,15 +159,16 @@ def run_specs(
         :class:`repro.results.SqliteStore`).  Every completed cell
         streams to the sink the moment it finishes — serially in spec
         order, pooled in completion order — so a killed campaign keeps
-        every finished cell on disk.  Cache hits are written too, so the
-        sink record stays a complete campaign record.
+        every finished cell on disk.  Cache hits are written too, ahead
+        of the first computed cell that follows them, so the sink record
+        stays a complete campaign record.
     traces:
         Optional pre-built traces keyed by ``(workload, n, m, seed)``,
         pre-seeded into the in-process trace memo — for callers holding a
-        custom trace that has no generator.  Serial only: worker processes
-        cannot see the parent's memo.  Cells running on a pinned trace
-        bypass the result cache entirely (their coordinates no longer
-        describe their data).
+        custom trace that has no generator.  Needs a job count that
+        resolves to one: worker processes cannot see the parent's memo.
+        Cells running on a pinned trace bypass the result cache entirely
+        (their coordinates no longer describe their data).
     cache:
         A :class:`repro.scenarios.cache.ResultCache`, ``True`` (the
         default cache directory), ``False`` (caching off), or ``None`` —
@@ -215,13 +193,13 @@ def run_specs(
     from repro.scenarios.cache import resolve_result_cache
 
     specs = list(specs)
+    if config is None:
+        config = ParallelConfig(jobs=jobs)
     seeded: list[tuple[str, int, int, int]] = []
-    serial = config.resolved_jobs() == 1 if config is not None else jobs == 1
-    on_error = config.on_error if config is not None else "raise"
     resolved_cache = resolve_result_cache(cache)
     pinned_keys: frozenset = frozenset(traces or ())
     if traces:
-        if not serial:
+        if config.resolved_jobs() != 1:
             raise ExperimentError(
                 "explicit traces require serial execution (jobs=1): worker "
                 "processes regenerate traces from coordinates and cannot see "
@@ -240,96 +218,69 @@ def run_specs(
     def cacheable(cell: ScenarioSpec) -> bool:
         return resolved_cache is not None and cell.trace_key() not in pinned_keys
 
-    def finish(cell: ScenarioSpec, result: ScenarioResult) -> ScenarioResult:
-        if cacheable(cell):
-            resolved_cache.store(result)
-        return result
+    merged: list[Optional[ScenarioResult]] = [None] * len(specs)
 
     # -- resume: seed completed cells from the sink's on-disk record ----
-    resumed: dict[int, ScenarioResult] = {}
     if resume:
-        resumed = _seed_resume(specs, sink)
-        for index, result in resumed.items():
+        for index, result in _seed_resume(specs, sink).items():
+            merged[index] = result
             # Re-store into the result cache so the *next* interruption
             # recovers these cells even without the JSONL record.
-            finish(specs[index], result)
+            if cacheable(specs[index]):
+                resolved_cache.store(result)
 
-    hits: dict[int, ScenarioResult] = {}
+    hits: deque[int] = deque()
     if resolved_cache is not None and not refresh:
         for index, cell in enumerate(specs):
-            if index in resumed or not cacheable(cell):
-                continue
-            hit = resolved_cache.lookup(cell)
-            if hit is not None:
-                hits[index] = hit
-    try:
-        if serial:
-            # True streaming: each cell hits the sink and the result
-            # cache the moment it completes, so a killed campaign keeps
-            # (and a resumed one skips) every finished cell.  Failures
-            # are wrapped exactly as the pooled path wraps them; with
-            # ``on_error="collect"`` they become skipped cells instead.
-            retry = (config or ParallelConfig()).retry_policy()
-            results = []
-            for index, cell in enumerate(specs):
-                fresh = False
-                if index in resumed:
-                    result = resumed[index]
-                elif index in hits:
-                    result, fresh = hits[index], True
-                else:
-                    result, fresh = _run_one_serial(
-                        index, cell, retry, on_error, finish
-                    )
-                    if result is None:
-                        continue
-                if sink is not None and fresh:
-                    sink.write(result)
-                results.append(result)
-            return results
-        pending = [
-            (index, cell)
-            for index, cell in enumerate(specs)
-            if index not in hits and index not in resumed
-        ]
-        merged: list[Optional[ScenarioResult]] = [None] * len(specs)
-        for index, hit in hits.items():
-            merged[index] = hit
-            if sink is not None:
-                sink.write(hit)
-        for index, prior in resumed.items():
-            merged[index] = prior
+            if merged[index] is None and cacheable(cell):
+                merged[index] = resolved_cache.lookup(cell)
+                if merged[index] is not None:
+                    hits.append(index)
 
-        def stream(outcome) -> None:
-            # Runs in the parent as each pooled cell completes: cache
-            # store + sink write immediately, so an abort later in the
-            # campaign cannot lose this cell.
-            if not outcome.ok:
-                warnings.warn(
-                    f"cell {pending[outcome.index][1]!r} failed after"
-                    f" {outcome.attempts} attempt(s): {outcome.error}",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                return
-            spec_index, cell = pending[outcome.index]
-            result = finish(cell, outcome.value)
-            merged[spec_index] = result
+    pending = [index for index, result in enumerate(merged) if result is None]
+    # A hit reaches the sink when the computed cell just before it
+    # completes (or fails): a serial record keeps spec order, and an
+    # aborted one still holds every hit ahead of the failing cell.
+    bounds = pending + [len(specs)]
+
+    def write_hits(before: int) -> None:
+        while hits and hits[0] < before:
+            result = merged[hits.popleft()]
             if sink is not None:
                 sink.write(result)
 
+    def stream(outcome) -> None:
+        # Runs in the parent as each cell completes: cache store + sink
+        # write immediately, so an abort later in the campaign cannot
+        # lose this cell.
+        index = pending[outcome.index]
+        if outcome.ok:
+            result = merged[index] = outcome.value
+            if cacheable(specs[index]):
+                resolved_cache.store(result)
+            if sink is not None:
+                sink.write(result)
+        else:
+            warnings.warn(
+                f"cell {specs[index]!r} failed after"
+                f" {outcome.attempts} attempt(s): {outcome.error}",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        write_hits(bounds[outcome.index + 1])
+
+    try:
+        write_hits(bounds[0])
         parallel_map_outcomes(
             run_scenario,
-            [cell for _, cell in pending],
+            [specs[index] for index in pending],
             config=config,
-            jobs=None if config else jobs,
             on_outcome=stream,
         )
-        results = [result for result in merged if result is not None]
     finally:
         for key in seeded:
             evict_trace(key)
-    return results
+    return [result for result in merged if result is not None]
 
 
 def _seed_resume(
@@ -344,14 +295,12 @@ def _seed_resume(
     matched to pending specs by full-spec identity (``spec.to_json()``),
     duplicate records claiming one cell each.
     """
-    from collections import deque
-
     from repro.results.jsonl import iter_results_jsonl
 
     path = getattr(sink, "path", None)
     if path is None:
         raise ExperimentError(
-            "resume=True needs a path-backed sink (e.g. JsonlResultSink"
+            "resume=True needs a path-backed sink (e.g. JsonlStore"
             " or SqliteStore) so completed cells can be recovered from"
             " its record"
         )
@@ -373,34 +322,3 @@ def _seed_resume(
         if bucket:
             resumed[index] = bucket.popleft()
     return resumed
-
-
-def _run_one_serial(
-    index: int,
-    cell: ScenarioSpec,
-    retry,
-    on_error: str,
-    finish,
-) -> tuple[Optional[ScenarioResult], bool]:
-    """One serial cell under the retry/error policy; ``None`` = skipped."""
-    attempts = 0
-    while True:
-        attempts += 1
-        try:
-            return finish(cell, _call_item(run_scenario, cell)), True
-        except Exception as exc:  # noqa: BLE001 - policy decides
-            if attempts <= retry.retries and retry.is_transient(exc):
-                delay = retry.delay(attempts)
-                if delay > 0:
-                    time.sleep(delay)
-                continue
-            if on_error == "raise":
-                raise ExperimentError(
-                    f"task {index} failed on item {cell!r}: {exc}"
-                ) from exc
-            warnings.warn(
-                f"cell {cell!r} failed after {attempts} attempt(s): {exc}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return None, False

@@ -42,7 +42,6 @@ from repro.net.registry import (
     static_algorithms,
 )
 from repro.net.spec import freeze_params
-from repro.parallel.tasks import SimulationTask
 
 __all__ = [
     "ANALYTIC_ALGORITHMS",
@@ -169,25 +168,7 @@ class ScenarioSpec:
             return self.engine or DEFAULT_ONLINE_ENGINE
         return None
 
-    # -- bridges -------------------------------------------------------
-    def task(self) -> SimulationTask:
-        """The picklable worker task for this (non-analytic) cell."""
-        if self.kind == "analytic":
-            raise ExperimentError(
-                f"analytic cell {self.algorithm!r} has no simulation task"
-            )
-        return SimulationTask(
-            workload=self.workload,
-            n=self.n,
-            m=self.m,
-            seed=self.seed,
-            algorithm=self.algorithm,
-            k=self.k,
-            engine=self.resolved_engine(),
-            initial=self.initial,
-            params=self.params,
-        )
-
+    # -- helpers -------------------------------------------------------
     def params_dict(self) -> dict[str, Any]:
         """The frozen params as a plain keyword mapping."""
         return dict(self.params)

@@ -177,8 +177,8 @@ def _worker_main(
     with ``covered`` the key's total served requests at the cut — always
     a batch boundary, so the parent can prune its journal exactly).
 
-    Liveness is out of band: when ``hb_interval > 0`` a daemon thread
-    beats on ``hb_conn`` so a stuck or dead worker is visible to the
+    Liveness is out of band: a daemon thread beats on ``hb_conn`` every
+    ``hb_interval`` seconds so a stuck or dead worker is visible to the
     supervisor without touching the command pipe.
 
     ``parent_ends`` are the farm-side pipe ends a forked worker inherits:
@@ -199,13 +199,12 @@ def _worker_main(
     from repro.reliability.faults import fire_fault, kill_process
 
     stop_beat = threading.Event()
-    if hb_conn is not None and hb_interval > 0:
-        threading.Thread(
-            target=_heartbeat_loop,
-            args=(hb_conn, hb_interval, stop_beat),
-            daemon=True,
-            name=f"repro-heartbeat-{shard_index}",
-        ).start()
+    threading.Thread(
+        target=_heartbeat_loop,
+        args=(hb_conn, hb_interval, stop_beat),
+        daemon=True,
+        name=f"repro-heartbeat-{shard_index}",
+    ).start()
 
     sessions: dict[Any, Any] = {}
     served_total: dict[Any, int] = {}
@@ -335,11 +334,10 @@ class ServeFarm:
     plus keyword arguments.  One session is opened lazily per key in the
     owning worker.  Use as a context manager to guarantee teardown.
 
-    ``health`` configures heartbeat supervision (default on with
-    conservative deadlines; ``HealthConfig(enabled=False)`` restores the
-    unsupervised farm).  ``checkpoint_every=N`` turns on warm-standby
-    recovery: replay after a respawn is bounded by the checkpoint
-    cadence instead of the full journal.
+    ``health`` configures heartbeat supervision, which is always on (the
+    default deadlines are conservative).  ``checkpoint_every=N`` turns on
+    warm-standby recovery: replay after a respawn is bounded by the
+    checkpoint cadence instead of the full journal.
     """
 
     def __init__(
@@ -386,11 +384,7 @@ class ServeFarm:
         self.router = ShardRouter(shards)
         self.metrics = FarmMetrics()
         self.health_config = health or HealthConfig()
-        self.health: Optional[HealthMonitor] = (
-            HealthMonitor(shards, self.health_config)
-            if self.health_config.enabled
-            else None
-        )
+        self.health = HealthMonitor(shards, self.health_config)
         #: Per shard: ``{key: [(sources, targets), ...]}`` — every
         #: acknowledged batch not yet covered by a snapshot, in serve
         #: order (order across keys is immaterial: sessions are
@@ -428,13 +422,12 @@ class ServeFarm:
             # ones: close the partial farm before re-raising.
             self.close()
             raise
-        if self.health is not None:
-            self._supervisor = threading.Thread(
-                target=self._supervise,
-                daemon=True,
-                name="repro-farm-supervisor",
-            )
-            self._supervisor.start()
+        self._supervisor = threading.Thread(
+            target=self._supervise,
+            daemon=True,
+            name="repro-farm-supervisor",
+        )
+        self._supervisor.start()
 
     # -- lifecycle -----------------------------------------------------
     def __enter__(self) -> "ServeFarm":
@@ -451,13 +444,9 @@ class ServeFarm:
 
     def _start_worker(self, shard: int) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
-        hb_parent = hb_child = None
-        hb_interval = 0.0
-        if self.health is not None:
-            # Dedicated one-way liveness pipe: worker writes, parent
-            # reads.  EOF on it is the fastest possible death signal.
-            hb_parent, hb_child = self._ctx.Pipe(duplex=False)
-            hb_interval = self.health_config.interval
+        # Dedicated one-way liveness pipe: worker writes, parent reads.
+        # EOF on it is the fastest possible death signal.
+        hb_parent, hb_child = self._ctx.Pipe(duplex=False)
         parent_ends: tuple = ()
         if self._ctx.get_start_method() == "fork":
             # A forked child inherits every farm-side end open right now;
@@ -480,7 +469,7 @@ class ServeFarm:
                 hb_child,
                 self._spec_data,
                 shard,
-                hb_interval,
+                self.health_config.interval,
                 self.checkpoint_every,
                 parent_ends,
             ),
@@ -489,8 +478,7 @@ class ServeFarm:
         )
         proc.start()
         child_conn.close()
-        if hb_child is not None:
-            hb_child.close()
+        hb_child.close()
         self._procs[shard] = proc
         self._conns[shard] = parent_conn
         self._hb_conns[shard] = hb_parent
@@ -623,9 +611,7 @@ class ServeFarm:
         ]
 
     def health_states(self) -> list[str]:
-        """Per-shard health (all ``healthy`` when supervision is off)."""
-        if self.health is None:
-            return [HEALTHY] * self.shards
+        """Per-shard health."""
         return self.health.states()
 
     # -- fault recovery ------------------------------------------------
@@ -642,14 +628,12 @@ class ServeFarm:
                 self.respawns += 1
                 spent = self.respawns
             if spent > self.max_respawns:
-                if self.health is not None:
-                    self.health.mark(shard, DOWN)
+                self.health.mark(shard, DOWN)
                 raise ReliabilityError(
                     f"serve farm gave up after {self.max_respawns}"
                     f" respawn(s): shard {shard} keeps dying"
                 )
-            if self.health is not None:
-                self.health.mark(shard, RECOVERING)
+            self.health.mark(shard, RECOVERING)
             old_conn = self._conns[shard]
             if old_conn is not None:
                 old_conn.close()
@@ -685,8 +669,7 @@ class ServeFarm:
                     conn.send(("restore", restores))
                     reply = conn.recv()
                     if reply[0] == "error":
-                        if self.health is not None:
-                            self.health.mark(shard, DOWN)
+                        self.health.mark(shard, DOWN)
                         raise ReliabilityError(
                             f"serve farm shard {shard} failed snapshot"
                             f" restore: {reply[1]}"
@@ -701,8 +684,7 @@ class ServeFarm:
                     conn.send(("serve", batches, True))
                     reply = conn.recv()
                     if reply[0] == "error":
-                        if self.health is not None:
-                            self.health.mark(shard, DOWN)
+                        self.health.mark(shard, DOWN)
                         raise ReliabilityError(
                             f"serve farm shard {shard} failed during"
                             f" journal replay: {reply[1]}"
@@ -719,8 +701,7 @@ class ServeFarm:
                     "proactive" if proactive else "reactive"
                 ] += 1
                 self.shard_recoveries[shard] += 1
-            if self.health is not None:
-                self.health.mark(shard, HEALTHY)
+            self.health.mark(shard, HEALTHY)
 
     # -- dispatch ------------------------------------------------------
     def _send_serve(self, shard: int, batches) -> None:

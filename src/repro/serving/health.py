@@ -68,9 +68,6 @@ class HealthConfig:
     #: Silence after which a shard is declared ``down`` and proactively
     #: respawned.  Pipe EOF (worker death) short-circuits this deadline.
     down_after: float = 5.0
-    #: Master switch: ``False`` runs the farm without heartbeat threads
-    #: or a supervisor (the pre-supervision behaviour).
-    enabled: bool = True
 
     def __post_init__(self) -> None:
         if self.interval <= 0:

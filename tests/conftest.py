@@ -20,7 +20,7 @@ def pytest_configure(config):
 def isolated_results_dir(tmp_path_factory):
     """Point result files and the result cache at a session temp dir.
 
-    Result paths anchor to the repository root (repro.scenarios.sink), so
+    Result paths anchor to the repository root (repro.results.paths), so
     without this a test run would write sink/cache files into the real
     ``benchmarks/results/`` — and, when ``REPRO_RESULT_CACHE`` is on,
     could serve cells from a stale on-disk cache across code changes.

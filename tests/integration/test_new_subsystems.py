@@ -14,8 +14,8 @@ from repro.core.splaynet import KArySplayNet
 from repro.network.lazy import LazyRebuildNetwork
 from repro.network.simulator import Simulator, simulate
 from repro.network.static import StaticTreeNetwork
-from repro.parallel import SweepSpec, run_sweep
-from repro.parallel.tasks import SimulationTask, run_simulation_task
+from repro.parallel import seed_for_cell
+from repro.scenarios import ScenarioSpec, run_specs
 from repro.splaynet.splaynet import SplayNet
 from repro.workloads.mixtures import (
     elephant_mice_trace,
@@ -81,29 +81,35 @@ class TestMixturesThroughNetworks:
         assert san_local.average_routing < san_mixing.average_routing
 
 
-def _sweep_cell(c):
-    """Module-level so the process pool can pickle it."""
-    return run_simulation_task(
-        SimulationTask("temporal-0.75", 32, 500, c.seed, "kary-splaynet", c["k"])
-    ).total_routing
-
-
 class TestParallelPipeline:
     def test_sweep_drives_simulation_tasks(self):
-        spec = SweepSpec(axes={"k": (2, 3)}, root_seed=7)
-        serial = run_sweep(_sweep_cell, spec, jobs=1)
-        parallel = run_sweep(_sweep_cell, spec, jobs=2)
-        assert serial.values == parallel.values
-        assert all(v > 0 for v in serial.values)
+        # A sweep is a spec list: one cell per k, each on its own derived
+        # seed, bit-identical serially and across worker processes.
+        specs = [
+            ScenarioSpec(
+                "temporal-0.75",
+                32,
+                500,
+                seed_for_cell(7, {"k": k}),
+                "kary-splaynet",
+                k,
+            )
+            for k in (2, 3)
+        ]
+        serial = run_specs(specs, jobs=1, cache=False)
+        parallel = run_specs(specs, jobs=2, cache=False)
+        assert [r.total_routing for r in serial] == [
+            r.total_routing for r in parallel
+        ]
+        assert all(r.total_routing > 0 for r in serial)
 
     def test_paper_shape_through_tasks(self):
-        # the central k-trend holds through the task layer too
-        costs = {}
-        for k in (2, 6):
-            result = run_simulation_task(
-                SimulationTask("temporal-0.9", 100, 4_000, 42, "kary-splaynet", k)
-            )
-            costs[k] = result.total_routing
+        # the central k-trend holds through the campaign runner too
+        specs = [
+            ScenarioSpec("temporal-0.9", 100, 4_000, 42, "kary-splaynet", k)
+            for k in (2, 6)
+        ]
+        costs = {r.spec.k: r.total_routing for r in run_specs(specs, cache=False)}
         assert costs[6] < costs[2]
 
 

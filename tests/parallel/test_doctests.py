@@ -5,7 +5,6 @@ from __future__ import annotations
 import doctest
 
 import repro.parallel.seeds
-import repro.parallel.sweep
 
 
 def test_seeds_doctests():
@@ -13,8 +12,3 @@ def test_seeds_doctests():
     assert results.failed == 0
     assert results.attempted >= 3
 
-
-def test_sweep_doctests():
-    results = doctest.testmod(repro.parallel.sweep)
-    assert results.failed == 0
-    assert results.attempted >= 1

@@ -1,4 +1,4 @@
-"""Simulation tasks: registry coverage, worker-side regeneration, equality
+"""Simulation cells: registry coverage, worker-side regeneration, equality
 with direct (in-process) simulation."""
 
 from __future__ import annotations
@@ -12,13 +12,8 @@ from repro.errors import ExperimentError
 from repro.net import online_algorithms, static_algorithms
 from repro.network.simulator import Simulator
 from repro.parallel.pool import parallel_map
-from repro.parallel.tasks import (
-    SimulationTask,
-    SimulationTaskResult,
-    materialize_trace,
-    run_simulation_task,
-    static_cost_task,
-)
+from repro.parallel.tasks import materialize_trace, run_simulation_task
+from repro.scenarios import ScenarioSpec, run_scenario
 from repro.workloads.synthetic import temporal_trace, uniform_trace
 
 
@@ -48,13 +43,15 @@ class TestMaterializeTrace:
 
 
 class TestTaskValidation:
+    """run_simulation_task takes a ScenarioSpec, which validates itself."""
+
     def test_unknown_algorithm(self):
         with pytest.raises(ExperimentError):
-            SimulationTask("uniform", 16, 50, 1, "teleport", 2)
+            ScenarioSpec("uniform", 16, 50, 1, "teleport", 2)
 
     def test_bad_k(self):
         with pytest.raises(ExperimentError):
-            SimulationTask("uniform", 16, 50, 1, "kary-splaynet", 1)
+            ScenarioSpec("uniform", 16, 50, 1, "kary-splaynet", 1)
 
     def test_registries_disjoint(self):
         assert not online_algorithms() & static_algorithms()
@@ -63,60 +60,43 @@ class TestTaskValidation:
 class TestRunSimulationTask:
     @pytest.mark.parametrize("algorithm", sorted(online_algorithms()))
     def test_online_algorithms_run(self, algorithm):
-        task = SimulationTask("temporal-0.5", 24, 300, 7, algorithm, 3)
-        result = run_simulation_task(task)
-        assert isinstance(result, SimulationTaskResult)
-        assert result.total_routing > 0
-        assert result.task == task
+        spec = ScenarioSpec("temporal-0.5", 24, 300, 7, algorithm, 3)
+        routing, _, _ = run_simulation_task(spec)
+        assert routing > 0
 
     @pytest.mark.parametrize("algorithm", sorted(static_algorithms()))
     def test_static_algorithms_run(self, algorithm):
-        task = SimulationTask("temporal-0.5", 20, 200, 7, algorithm, 3)
-        result = run_simulation_task(task)
-        assert result.total_routing > 0
-        assert result.total_rotations == 0
-        assert result.total_links_changed == 0
+        spec = ScenarioSpec("temporal-0.5", 20, 200, 7, algorithm, 3)
+        routing, rotations, links = run_simulation_task(spec)
+        assert routing > 0
+        assert rotations == 0
+        assert links == 0
 
     def test_online_matches_direct_simulation(self):
         n, m, seed, k = 20, 400, 11, 3
-        task = SimulationTask("temporal-0.75", n, m, seed, "kary-splaynet", k)
-        via_task = run_simulation_task(task)
+        spec = ScenarioSpec("temporal-0.75", n, m, seed, "kary-splaynet", k)
+        routing, rotations, _ = run_simulation_task(spec)
         trace = temporal_trace(n, m, 0.75, seed)
         direct = Simulator().run(KArySplayNet(n, k, initial="complete"), trace)
-        assert via_task.total_routing == direct.total_routing
-        assert via_task.total_rotations == direct.total_rotations
+        assert routing == direct.total_routing
+        assert rotations == direct.total_rotations
 
     def test_static_matches_direct_cost(self):
         n, m, seed, k = 20, 400, 11, 4
-        task = SimulationTask("uniform", n, m, seed, "full-tree", k)
-        via_task = run_simulation_task(task)
+        spec = ScenarioSpec("uniform", n, m, seed, "full-tree", k)
+        routing, _, _ = run_simulation_task(spec)
         trace = uniform_trace(n, m, seed)
-        assert via_task.total_routing == trace_static_cost(
-            build_complete_tree(n, k), trace
-        )
+        assert routing == trace_static_cost(build_complete_tree(n, k), trace)
 
     def test_average_routing(self):
-        task = SimulationTask("uniform", 16, 100, 2, "full-tree", 2)
-        result = run_simulation_task(task)
+        result = run_scenario(ScenarioSpec("uniform", 16, 100, 2, "full-tree", 2))
         assert result.average_routing == result.total_routing / 100
 
     def test_tasks_through_process_pool(self):
-        tasks = [
-            SimulationTask("uniform", 16, 120, 5, "kary-splaynet", k)
+        specs = [
+            ScenarioSpec("uniform", 16, 120, 5, "kary-splaynet", k)
             for k in (2, 3, 4)
         ]
-        parallel = parallel_map(run_simulation_task, tasks, jobs=2)
-        serial = [run_simulation_task(t) for t in tasks]
-        assert [r.total_routing for r in parallel] == [
-            r.total_routing for r in serial
-        ]
-
-
-class TestStaticCostTask:
-    def test_value(self):
-        task = SimulationTask("uniform", 16, 100, 2, "full-tree", 2)
-        assert static_cost_task(task) == run_simulation_task(task).total_routing
-
-    def test_rejects_online_algorithm(self):
-        with pytest.raises(ExperimentError):
-            static_cost_task(SimulationTask("uniform", 16, 100, 2, "splaynet", 2))
+        parallel = parallel_map(run_simulation_task, specs, jobs=2)
+        serial = [run_simulation_task(spec) for spec in specs]
+        assert parallel == serial

@@ -21,8 +21,13 @@ from repro.reliability.faults import (
     clear_fault_plan,
     inject_faults,
 )
-from repro.results import SqliteStore, open_store
-from repro.scenarios import JsonlResultSink, read_results_jsonl, run_specs
+from repro.results import (
+    JsonlStore,
+    SqliteStore,
+    open_store,
+    read_results_jsonl,
+)
+from repro.scenarios import run_specs
 from repro.scenarios.spec import ScenarioSpec
 
 #: Both results backends, drilled identically where the contract is shared.
@@ -71,7 +76,7 @@ class TestTolerantRead:
     def test_truncated_trailing_line_is_skipped_with_a_warning(self, tmp_path):
         specs = _campaign(3)
         path = tmp_path / "partial.jsonl"
-        with JsonlResultSink(path) as sink:
+        with JsonlStore(path) as sink:
             clean = run_specs(specs, sink=sink, cache=False)
         lines = path.read_text().splitlines()
         assert len(lines) == 3
@@ -90,7 +95,7 @@ class TestTolerantRead:
     def test_mid_file_corruption_still_raises(self, tmp_path):
         specs = _campaign(2)
         path = tmp_path / "corrupt.jsonl"
-        with JsonlResultSink(path) as sink:
+        with JsonlStore(path) as sink:
             run_specs(specs, sink=sink, cache=False)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(["{bad json", *lines[1:]]) + "\n")
@@ -101,11 +106,11 @@ class TestTolerantRead:
         """A resumed writer must not glue records onto a torn fragment."""
         specs = _campaign(2)
         path = tmp_path / "repair.jsonl"
-        with JsonlResultSink(path) as sink:
+        with JsonlStore(path) as sink:
             clean = run_specs(specs, sink=sink, cache=False)
         lines = path.read_text().splitlines()
         path.write_text(lines[0] + "\n" + lines[1][:10])
-        with JsonlResultSink(path) as sink:
+        with JsonlStore(path) as sink:
             run_specs([specs[1]], sink=sink, cache=False)
         assert _summaries(read_results_jsonl(path)) == _summaries(clean)
 
@@ -116,14 +121,14 @@ class TestResumeValidation:
             run_specs(_campaign(1), resume=True, cache=False)
 
     def test_resume_rejects_overwrite_sinks(self, tmp_path):
-        sink = JsonlResultSink(tmp_path / "x.jsonl", overwrite=True)
+        sink = JsonlStore(tmp_path / "x.jsonl", overwrite=True)
         with pytest.raises(ExperimentError, match="overwrite"):
             run_specs(_campaign(1), sink=sink, resume=True, cache=False)
 
     def test_resume_with_no_prior_file_runs_everything(self, tmp_path):
         specs = _campaign(3)
         path = tmp_path / "fresh.jsonl"
-        with JsonlResultSink(path) as sink:
+        with JsonlStore(path) as sink:
             results = run_specs(specs, sink=sink, resume=True, cache=False)
         assert len(results) == 3
         assert _summaries(read_results_jsonl(path)) == _summaries(results)

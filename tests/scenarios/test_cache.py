@@ -7,11 +7,10 @@ import json
 import pytest
 
 from repro.errors import ExperimentError
+from repro.results import JsonlStore, read_results_jsonl
 from repro.scenarios import (
-    JsonlResultSink,
     ResultCache,
     ScenarioSpec,
-    read_results_jsonl,
     run_specs,
     spec_cache_key,
 )
@@ -103,10 +102,28 @@ class TestCachedEqualsFresh:
         path = tmp_path / "results.jsonl"
         specs = [spec(k=2), spec(k=3)]
         run_specs(specs, cache=cache)
-        with JsonlResultSink(path) as sink:
+        with JsonlStore(path) as sink:
             results = run_specs(specs, cache=cache, sink=sink)
         assert read_results_jsonl(path) == results
         assert cache.hits == len(specs)
+
+    def test_mixed_hits_stream_to_the_sink_in_spec_order(self, cache, tmp_path):
+        run_specs([spec(k=3)], cache=cache)
+        path = tmp_path / "results.jsonl"
+        specs = [spec(k=2), spec(k=3), spec(k=4)]
+        with JsonlStore(path) as sink:
+            results = run_specs(specs, cache=cache, sink=sink)
+        assert [r.spec for r in read_results_jsonl(path)] == specs
+        assert read_results_jsonl(path) == results
+
+    def test_hits_ahead_of_a_failing_cell_reach_the_sink(self, cache, tmp_path):
+        run_specs([spec(k=2)], cache=cache)
+        path = tmp_path / "partial.jsonl"
+        crashing = [spec(k=2), spec(workload="zipf-oops", seed=1)]
+        with JsonlStore(path) as sink:
+            with pytest.raises(ExperimentError):
+                run_specs(crashing, cache=cache, sink=sink)
+        assert [r.spec for r in read_results_jsonl(path)] == [spec(k=2)]
 
 
 class TestRefreshAndPoisoning:

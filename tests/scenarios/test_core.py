@@ -1,4 +1,4 @@
-"""The scenario execution core: determinism, memoization, sinks, sweeps."""
+"""The scenario execution core: determinism, memoization, sinks."""
 
 from __future__ import annotations
 
@@ -8,17 +8,11 @@ from repro.core.splaynet import KArySplayNet
 from repro.errors import ExperimentError
 from repro.network.cost import UNIT_ROTATIONS
 from repro.network.simulator import Simulator
-from repro.parallel import (
-    SweepSpec,
-    clear_trace_cache,
-    run_scenario_sweep,
-    trace_cache_stats,
-)
+from repro.parallel import clear_trace_cache, trace_cache_stats
+from repro.results import JsonlStore, read_results_jsonl
 from repro.scenarios import (
-    JsonlResultSink,
     ScenarioResult,
     ScenarioSpec,
-    read_results_jsonl,
     run_scenario,
     run_specs,
 )
@@ -95,6 +89,19 @@ class TestRunSpecs:
         with pytest.raises(ExperimentError):
             run_specs([s], jobs=2, traces={s.trace_key(): trace})
 
+    def test_explicit_trace_runs_where_all_cores_resolve_to_one(
+        self, monkeypatch
+    ):
+        # jobs=0 means "all cores but one": on a 2-CPU host that is one
+        # worker, so pinned traces are fine there.
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        trace = zipf_trace(24, 300, 1.4, seed=99)
+        s = spec(workload="zipf-1.4", seed=99)
+        pinned = run_specs([s], jobs=0, traces={s.trace_key(): trace})[0]
+        direct = Simulator().run(KArySplayNet(24, 3, initial="complete"), trace)
+        assert pinned.total_routing == direct.total_routing
+        assert pinned.total_rotations == direct.total_rotations
+
     def test_explicit_trace_key_must_match_trace_coordinates(self):
         shorter = zipf_trace(24, 299, 1.4, seed=99)
         s = spec(workload="zipf-1.4", seed=99)  # m=300
@@ -162,13 +169,13 @@ class TestSink:
     def test_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "results.jsonl"
         specs = [spec(k=2), spec(algorithm="full-tree", k=2)]
-        with JsonlResultSink(path) as sink:
+        with JsonlStore(path) as sink:
             results = run_specs(specs, sink=sink)
             assert sink.count == len(specs)
         assert read_results_jsonl(path) == results
 
     def test_sink_opens_lazily(self, tmp_path):
-        sink = JsonlResultSink(tmp_path / "sub" / "never.jsonl")
+        sink = JsonlStore(tmp_path / "sub" / "never.jsonl")
         sink.close()
         assert not (tmp_path / "sub").exists()
 
@@ -178,7 +185,7 @@ class TestSink:
         # (ValueError on the zipf parameter) — the first cell's line must
         # already be on disk.
         specs = [spec(k=2), spec(workload="zipf-oops", seed=1)]
-        with JsonlResultSink(path) as sink:
+        with JsonlStore(path) as sink:
             with pytest.raises(ExperimentError):
                 run_specs(specs, sink=sink)
         survivors = read_results_jsonl(path)
@@ -191,17 +198,17 @@ class TestSink:
         path = tmp_path / "campaign.jsonl"
         first = [spec(k=2)]
         second = [spec(k=3), spec(algorithm="full-tree", k=2)]
-        with JsonlResultSink(path) as sink:
+        with JsonlStore(path) as sink:
             batch1 = run_specs(first, sink=sink)
-        with JsonlResultSink(path) as sink:
+        with JsonlStore(path) as sink:
             batch2 = run_specs(second, sink=sink)
         assert read_results_jsonl(path) == batch1 + batch2
 
     def test_overwrite_sink_truncates(self, tmp_path):
         path = tmp_path / "campaign.jsonl"
-        with JsonlResultSink(path) as sink:
+        with JsonlStore(path) as sink:
             run_specs([spec(k=2)], sink=sink)
-        with JsonlResultSink(path, overwrite=True) as sink:
+        with JsonlStore(path, overwrite=True) as sink:
             replacement = run_specs([spec(k=3)], sink=sink)
         assert read_results_jsonl(path) == replacement
 
@@ -210,7 +217,7 @@ class TestResultsPaths:
     """default_results_path must not scatter files across CWDs."""
 
     def test_env_override_wins(self, tmp_path, monkeypatch):
-        from repro.scenarios import default_results_path, results_root
+        from repro.results import default_results_path, results_root
 
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "here"))
         assert results_root() == tmp_path / "here"
@@ -221,7 +228,7 @@ class TestResultsPaths:
     def test_anchors_to_enclosing_checkout_from_a_subdirectory(
         self, tmp_path, monkeypatch
     ):
-        from repro.scenarios import results_root
+        from repro.results import results_root
 
         root = tmp_path / "checkout"
         (root / "benchmarks" / "results").mkdir(parents=True)
@@ -233,49 +240,14 @@ class TestResultsPaths:
         assert results_root() == root / "benchmarks" / "results"
 
     def test_falls_back_to_package_checkout_outside_any_repo(self, monkeypatch):
-        import repro.scenarios.sink as sink_module
+        import repro.results.paths as paths_module
 
         monkeypatch.delenv("REPRO_RESULTS_DIR", raising=False)
         from pathlib import Path
 
         nowhere = Path("/nonexistent") / "deeply" / "nested" / "cwd"
-        expected = Path(sink_module.__file__).resolve().parents[3]
+        expected = Path(paths_module.__file__).resolve().parents[3]
         assert (
-            sink_module.results_root(nowhere)
+            paths_module.results_root(nowhere)
             == expected / "benchmarks" / "results"
         )
-
-
-class TestScenarioSweep:
-    def test_axes_become_spec_fields(self):
-        result = run_scenario_sweep(
-            SweepSpec(axes={"k": (2, 3)}, root_seed=5),
-            {"workload": "uniform", "n": 16, "m": 80, "algorithm": "kary-splaynet"},
-        )
-        assert len(result) == 2
-        assert [cell.spec.k for cell in result.values] == [2, 3]
-        assert all(cell.total_routing > 0 for cell in result.values)
-
-    def test_seed_derived_per_cell_unless_pinned(self):
-        derived = run_scenario_sweep(
-            SweepSpec(axes={"k": (2, 3)}, root_seed=5),
-            {"workload": "uniform", "n": 16, "m": 80, "algorithm": "kary-splaynet"},
-        )
-        seeds = {cell.spec.seed for cell in derived.values}
-        assert len(seeds) == 2  # independent per coordinate
-        pinned = run_scenario_sweep(
-            SweepSpec(axes={"k": (2, 3)}, root_seed=5),
-            {"workload": "uniform", "n": 16, "m": 80, "seed": 1,
-             "algorithm": "kary-splaynet"},
-        )
-        assert {cell.spec.seed for cell in pinned.values} == {1}
-
-    def test_repeats_drop_the_rep_axis(self):
-        result = run_scenario_sweep(
-            SweepSpec(axes={"k": (2,)}, root_seed=5, repeats=2),
-            {"workload": "uniform", "n": 16, "m": 80, "algorithm": "kary-splaynet"},
-        )
-        assert len(result) == 2
-        assert {cell.spec.seed for cell in result.values} == {
-            c.seed for c in result.cells
-        }

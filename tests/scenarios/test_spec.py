@@ -73,14 +73,28 @@ class TestClassification:
         assert spec(algorithm="splaynet").resolved_engine() is None
         assert spec(algorithm="full-tree", engine="object").resolved_engine() is None
 
-    def test_task_bridge_threads_engine(self):
-        task = spec().task()
-        assert task.engine == DEFAULT_ONLINE_ENGINE
-        assert (task.workload, task.n, task.m, task.seed) == spec().trace_key()
+    def test_task_bridge_threads_engine(self, monkeypatch):
+        # The cell runner builds on spec.resolved_engine(): engine=None
+        # still means the flat default, an explicit engine passes through.
+        from repro.parallel import tasks
+
+        built = []
+        real = tasks.build_network
+
+        def recording(network_spec, **kwargs):
+            built.append(network_spec)
+            return real(network_spec, **kwargs)
+
+        monkeypatch.setattr(tasks, "build_network", recording)
+        tasks.run_simulation_task(spec())
+        tasks.run_simulation_task(spec(engine="object"))
+        assert [b.engine for b in built] == [DEFAULT_ONLINE_ENGINE, "object"]
 
     def test_analytic_cells_have_no_task(self):
+        from repro.parallel.tasks import run_simulation_task
+
         with pytest.raises(ExperimentError):
-            spec(algorithm="complete-tree-distance", m=0).task()
+            run_simulation_task(spec(algorithm="complete-tree-distance", m=0))
 
 
 class TestJsonRoundTrip:

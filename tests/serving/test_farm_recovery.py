@@ -84,6 +84,9 @@ class TestWorkerKillRecovery:
             ) as farm:
                 batch = farm.serve_stream(requests)
                 assert farm.respawns == 1
+                # Exactly one recovery, whichever path (the supervisor's
+                # or the dispatch path's) got to the dead worker first.
+                assert sum(farm.recoveries.values()) == 1
                 farm_metrics = farm.session_metrics()
                 aggregate = farm.metrics.to_dict()
         finally:

@@ -207,22 +207,3 @@ class TestSupervisedFarm:
             clean = open_session("kary-splaynet", n=32, k=2)
             clean.serve_stream(sources + [3, 4], targets + [30, 29])
             assert farm.session_metrics()["a"] == clean.metrics.to_dict()
-
-    def test_supervision_off_restores_the_reactive_farm(self):
-        with ServeFarm(
-            "kary-splaynet",
-            n=32,
-            k=2,
-            shards=1,
-            health=HealthConfig(enabled=False),
-        ) as farm:
-            assert farm.health is None
-            assert farm.health_states() == [HEALTHY]
-            farm.serve("a", 1, 9)
-            old_pid = farm.shard_pids()[0]
-            os.kill(old_pid, signal.SIGKILL)
-            # No supervisor: the death surfaces on the next dispatch and
-            # the reactive replay path absorbs it.
-            farm.serve("a", 2, 8)
-            assert farm.recoveries == {"proactive": 0, "reactive": 1}
-            assert farm.shard_pids()[0] != old_pid

@@ -13,8 +13,8 @@ import pytest
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 #: (script, argv, substring expected on stdout) — fast examples only; the
-#: heavyweight sweeps (complexity_map, parallel_sweep, reproduce_paper) are
-#: exercised through their underlying APIs in the unit suites.
+#: heavyweight ones (complexity_map, reproduce_paper) are exercised through
+#: their underlying APIs in the unit suites.
 FAST_EXAMPLES = [
     ("quickstart.py", [], "topology re-validated"),
     ("rotation_gallery.py", ["3"], "Figure 5"),
@@ -22,6 +22,7 @@ FAST_EXAMPLES = [
     ("custom_traces.py", [], "temporal structure was worth"),
     ("convergence.py", [], "two-phase workload"),
     ("adjustment_policies.py", [], "winner"),
+    ("parallel_sweep.py", ["2"], "cost falls with k"),
 ]
 
 
