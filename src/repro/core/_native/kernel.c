@@ -2,10 +2,10 @@
  * optimal-tree DP forward passes (at the end of this file).
  *
  * The serve kernel is a statement-for-statement translation of the
- * inlined batch serve loop of ``repro.core.flat.FlatTree.serve_many``
- * (the depth-2 k-splay discipline): the epoch-stamped LCA walk, the
- * k-semi-splay and k-splay rotation groups with arithmetic subtree
- * placement, and the routing/rotation/link cost accounting.  It operates
+ * depth-2 k-splay discipline of ``repro.core.flat.FlatTree``: the batch
+ * loop of ``serve_many`` (epoch-stamped LCA walk, routing/rotation/link
+ * cost accounting) and the k-semi-splay and k-splay rotation groups with
+ * arithmetic subtree placement (``semi_splay_fast`` / ``splay_fast``).  It operates
  * on the same flat identifier-indexed layout the Python engine owns,
  * marshalled into contiguous buffers by ``repro.core.native.NativeTree``:
  *
@@ -80,7 +80,7 @@ static int64_t rk_count_less(const double *a, int64_t len, double v)
 }
 
 /* k-semi-splay: promote y above its parent x (g = x's parent, may be 0).
- * Mirror of the inline semi body in FlatTree.serve_many.  Returns g. */
+ * Mirror of FlatTree.semi_splay_fast.  Returns g. */
 static int64_t rk_semi(rk_ctx *c, int64_t y, int64_t x, int64_t g)
 {
     const int64_t k = c->k, km1 = c->km1;
@@ -213,7 +213,7 @@ static int64_t rk_semi(rk_ctx *c, int64_t y, int64_t x, int64_t g)
 }
 
 /* k-splay: promote z above parent y and grandparent x (both rotation
- * cases).  Mirror of the inline splay body in FlatTree.serve_many.
+ * cases).  Mirror of FlatTree.splay_fast.
  * Returns x's old parent (the climb continues from there). */
 static int64_t rk_splay(rk_ctx *c, int64_t z, int64_t y, int64_t x)
 {

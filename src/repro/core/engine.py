@@ -225,7 +225,7 @@ def accumulate_serve_totals(
     ``serve_totals(u, v)`` must return ``(routing, rotations, links)``
     tuples; the optional series buffers are filled per request.  This is
     the shared fallback loop behind every network's ``serve_trace`` when
-    no fully-inlined batch path applies.
+    no engine batch path (``serve_many``) applies.
     """
     total_r = total_rot = total_l = 0
     if routing_series is not None:

@@ -37,6 +37,12 @@ Two things make the flat rotations much cheaper than their object mirrors:
   actually needs them (validation, the generalized deep-splay rotation,
   structural export).
 
+Each depth-2 rotation has one Python body: :meth:`FlatTree.semi_splay_fast`
+and :meth:`FlatTree.splay_fast`.  :meth:`~FlatTree.serve_one` (through
+:meth:`~FlatTree.splay_until`), the batch loop :meth:`~FlatTree.serve_many`
+and the range-maintaining wrappers :meth:`~FlatTree.semi_splay` /
+:meth:`~FlatTree.splay` all call them.
+
 The implementation deliberately mirrors :mod:`repro.core.rotations` and
 :mod:`repro.core.multirotation` decision-for-decision (same merged arrays,
 same block-start choices, same reattachment targets), so the two engines
@@ -945,15 +951,14 @@ class FlatTree:
     ) -> tuple[int, int, int]:
         """Serve a whole request batch; returns scalar cost totals.
 
-        This is the hot loop of the flat engine: the LCA walk, both splay
-        phases *and the two rotation bodies themselves* are inlined over one
-        shared set of local array references, so serving a request performs
-        no Python function calls and allocates no per-request objects.  The
-        inlined rotations are verbatim copies of :meth:`semi_splay_fast` /
-        :meth:`splay_fast` (the equivalence suite exercises both paths
-        against the object engine).  ``routing_series`` /
-        ``rotation_series`` are optional preallocated buffers (NumPy arrays
-        or lists) filled per request when provided.
+        This is the hot loop of the flat engine.  The adjacency
+        short-circuit, the epoch-stamped LCA walk and both splay phases are
+        inlined over local array references; each rotation step calls
+        :meth:`semi_splay_fast` or :meth:`splay_fast`, the same cores
+        :meth:`splay_until` uses, so a request costs no ``lca()`` or
+        ``splay_until()`` call.  ``routing_series`` / ``rotation_series``
+        are optional preallocated buffers (NumPy arrays or lists) filled
+        per request when provided.
         """
         if policy not in BLOCK_POLICIES:
             raise RotationError(
@@ -975,16 +980,11 @@ class FlatTree:
             )
 
         self._ranges_dirty = True
-        parent, pslot = self.parent, self.pslot
-        child_rows, routing_rows = self.child_rows, self.routing_rows
+        parent = self.parent
         visit, vdepth = self._visit, self._vdepth
         epoch = self._epoch
-        k = self.k
-        km1 = k - 1
-        km2 = 2 * km1
-        half = km1 // 2
-        pol_center = policy == "center"
-        pol_left = policy == "left"
+        semi = self.semi_splay_fast
+        spl = self.splay_fast
         total_r = 0
         total_rot = 0
         total_l = 0
@@ -1042,568 +1042,10 @@ class FlatTree:
                         g = parent[p]
                         rot += 1
                         if g == stop or g == 0:
-                            # ==== inline semi_splay_fast(climb) ========
-                            # (x := p promoted below y := climb)
-                            y = climb
-                            x = p
-                            gslot = pslot[x]
-                            sy = pslot[y]
-                            merged = [*routing_rows[x], *routing_rows[y]]
-                            merged.sort()
-                            xrow = child_rows[x]
-                            yrow = child_rows[y]
-                            nxrow = [0] * k
-                            nyrow = [0] * k
-                            child_rows[x] = nxrow
-                            child_rows[y] = nyrow
-                            pos_x = bisect_left(merged, x)
-                            if pol_center:
-                                j = pos_x - half
-                            elif pol_left:
-                                j = pos_x - km1
-                            else:
-                                j = pos_x
-                            lo = pos_x - km1
-                            if lo < 0:
-                                lo = 0
-                            hi = km1 if km1 < pos_x else pos_x
-                            if j < lo:
-                                j = lo
-                            elif j > hi:
-                                j = hi
-                            jhi = j + km1
-                            routing_rows[x] = merged[j:jhi]
-                            routing_rows[y] = merged[:j] + merged[jhi:]
-                            nyrow[j] = x
-                            parent[x] = y
-                            pslot[x] = j
-                            if g:
-                                lk += 2
-                            # x's subtree below slot sy keeps merged index s, past
-                            # it s + km1 (slot sy held y); y's subtree at slot t
-                            # has merged index sy + t.  Placement is an ordered
-                            # comparison ladder over the merged index.
-                            for m in range(sy):
-                                c = xrow[m]
-                                if not c:
-                                    continue
-                                if m < j:
-                                    nyrow[m] = c
-                                    parent[c] = y
-                                    pslot[c] = m
-                                    lk += 2
-                                elif m <= jhi:
-                                    slot = m - j
-                                    nxrow[slot] = c
-                                    parent[c] = x
-                                    pslot[c] = slot
-                                else:
-                                    slot = m - km1
-                                    nyrow[slot] = c
-                                    parent[c] = y
-                                    pslot[c] = slot
-                                    lk += 2
-                            for s in range(sy + 1, k):
-                                c = xrow[s]
-                                if not c:
-                                    continue
-                                m = s + km1
-                                if m < j:
-                                    nyrow[m] = c
-                                    parent[c] = y
-                                    pslot[c] = m
-                                    lk += 2
-                                elif m <= jhi:
-                                    slot = m - j
-                                    nxrow[slot] = c
-                                    parent[c] = x
-                                    pslot[c] = slot
-                                else:
-                                    slot = m - km1
-                                    nyrow[slot] = c
-                                    parent[c] = y
-                                    pslot[c] = slot
-                                    lk += 2
-                            for t in range(k):
-                                c = yrow[t]
-                                if not c:
-                                    continue
-                                m = sy + t
-                                if m < j:
-                                    nyrow[m] = c
-                                    parent[c] = y
-                                    pslot[c] = m
-                                elif m <= jhi:
-                                    slot = m - j
-                                    nxrow[slot] = c
-                                    parent[c] = x
-                                    pslot[c] = slot
-                                    lk += 2
-                                else:
-                                    slot = m - km1
-                                    nyrow[slot] = c
-                                    parent[c] = y
-                                    pslot[c] = slot
-                            if g:
-                                child_rows[g][gslot] = y
-                                parent[y] = g
-                                pslot[y] = gslot
-                            else:
-                                parent[y] = 0
-                                pslot[y] = -1
-                                self.root = y
-                            p = g
-                            # ==== end inline semi ======================
+                            lk += semi(climb, policy)
                         else:
-                            # ==== inline splay_fast(climb) =============
-                            # (x := g, y := p promoted below z := climb)
-                            z = climb
-                            y = p
-                            x = g
-                            grand = parent[x]
-                            gslot = pslot[x]
-                            sy = pslot[y]
-                            sz = pslot[z]
-                            merged = [
-                                *routing_rows[x],
-                                *routing_rows[y],
-                                *routing_rows[z],
-                            ]
-                            merged.sort()
-                            xrow = child_rows[x]
-                            yrow = child_rows[y]
-                            zrow = child_rows[z]
-                            pos_x = bisect_left(merged, x)
-                            pos_y = bisect_left(merged, y)
-                            nxrow = [0] * k
-                            nyrow = [0] * k
-                            nzrow = [0] * k
-                            child_rows[x] = nxrow
-                            child_rows[y] = nyrow
-                            child_rows[z] = nzrow
-                            diff = pos_x - pos_y
-                            if diff > km1 or -diff > km1:
-                                # ---- Case 1: x and y become children of z.
-                                if diff < 0:
-                                    lo_node, pos_lo, hi_node, pos_hi = x, pos_x, y, pos_y
-                                    lo_nrow, hi_nrow = nxrow, nyrow
-                                    x_lo_flip, x_hi_flip = 0, 2
-                                    y_lo_flip, y_hi_flip = 2, 0
-                                else:
-                                    lo_node, pos_lo, hi_node, pos_hi = y, pos_y, x, pos_x
-                                    lo_nrow, hi_nrow = nyrow, nxrow
-                                    x_lo_flip, x_hi_flip = 2, 0
-                                    y_lo_flip, y_hi_flip = 0, 2
-                                j_lo = pos_lo - km1
-                                if j_lo < 0:
-                                    j_lo = 0
-                                j_hi = km2
-                                if pos_hi < j_hi:
-                                    j_hi = pos_hi
-                                j_lo_hi = j_lo + km1
-                                j_hi_hi = j_hi + km1
-                                routing_rows[lo_node] = merged[j_lo:j_lo_hi]
-                                routing_rows[hi_node] = merged[j_hi:j_hi_hi]
-                                routing_rows[z] = (
-                                    merged[:j_lo]
-                                    + merged[j_lo_hi:j_hi]
-                                    + merged[j_hi_hi:]
-                                )
-                                nzrow[j_lo] = lo_node
-                                parent[lo_node] = z
-                                pslot[lo_node] = j_lo
-                                nzrow[j_hi - km1] = hi_node
-                                parent[hi_node] = z
-                                pslot[hi_node] = j_hi - km1
-                                lk += 2
-                                for m in range(sy):
-                                    c = xrow[m]
-                                    if not c:
-                                        continue
-                                    if m < j_lo:
-                                        nzrow[m] = c
-                                        parent[c] = z
-                                        pslot[c] = m
-                                        lk += 2
-                                    elif m <= j_lo_hi:
-                                        slot = m - j_lo
-                                        lo_nrow[slot] = c
-                                        parent[c] = lo_node
-                                        pslot[c] = slot
-                                        lk += x_lo_flip
-                                    elif m < j_hi:
-                                        slot = m - km1
-                                        nzrow[slot] = c
-                                        parent[c] = z
-                                        pslot[c] = slot
-                                        lk += 2
-                                    elif m <= j_hi_hi:
-                                        slot = m - j_hi
-                                        hi_nrow[slot] = c
-                                        parent[c] = hi_node
-                                        pslot[c] = slot
-                                        lk += x_hi_flip
-                                    else:
-                                        slot = m - km2
-                                        nzrow[slot] = c
-                                        parent[c] = z
-                                        pslot[c] = slot
-                                        lk += 2
-                                for s in range(sy + 1, k):
-                                    c = xrow[s]
-                                    if not c:
-                                        continue
-                                    m = s + km2
-                                    if m < j_lo:
-                                        nzrow[m] = c
-                                        parent[c] = z
-                                        pslot[c] = m
-                                        lk += 2
-                                    elif m <= j_lo_hi:
-                                        slot = m - j_lo
-                                        lo_nrow[slot] = c
-                                        parent[c] = lo_node
-                                        pslot[c] = slot
-                                        lk += x_lo_flip
-                                    elif m < j_hi:
-                                        slot = m - km1
-                                        nzrow[slot] = c
-                                        parent[c] = z
-                                        pslot[c] = slot
-                                        lk += 2
-                                    elif m <= j_hi_hi:
-                                        slot = m - j_hi
-                                        hi_nrow[slot] = c
-                                        parent[c] = hi_node
-                                        pslot[c] = slot
-                                        lk += x_hi_flip
-                                    else:
-                                        slot = m - km2
-                                        nzrow[slot] = c
-                                        parent[c] = z
-                                        pslot[c] = slot
-                                        lk += 2
-                                for t in range(sz):
-                                    c = yrow[t]
-                                    if not c:
-                                        continue
-                                    m = sy + t
-                                    if m < j_lo:
-                                        nzrow[m] = c
-                                        parent[c] = z
-                                        pslot[c] = m
-                                        lk += 2
-                                    elif m <= j_lo_hi:
-                                        slot = m - j_lo
-                                        lo_nrow[slot] = c
-                                        parent[c] = lo_node
-                                        pslot[c] = slot
-                                        lk += y_lo_flip
-                                    elif m < j_hi:
-                                        slot = m - km1
-                                        nzrow[slot] = c
-                                        parent[c] = z
-                                        pslot[c] = slot
-                                        lk += 2
-                                    elif m <= j_hi_hi:
-                                        slot = m - j_hi
-                                        hi_nrow[slot] = c
-                                        parent[c] = hi_node
-                                        pslot[c] = slot
-                                        lk += y_hi_flip
-                                    else:
-                                        slot = m - km2
-                                        nzrow[slot] = c
-                                        parent[c] = z
-                                        pslot[c] = slot
-                                        lk += 2
-                                for t in range(sz + 1, k):
-                                    c = yrow[t]
-                                    if not c:
-                                        continue
-                                    m = sy + t + km1
-                                    if m < j_lo:
-                                        nzrow[m] = c
-                                        parent[c] = z
-                                        pslot[c] = m
-                                        lk += 2
-                                    elif m <= j_lo_hi:
-                                        slot = m - j_lo
-                                        lo_nrow[slot] = c
-                                        parent[c] = lo_node
-                                        pslot[c] = slot
-                                        lk += y_lo_flip
-                                    elif m < j_hi:
-                                        slot = m - km1
-                                        nzrow[slot] = c
-                                        parent[c] = z
-                                        pslot[c] = slot
-                                        lk += 2
-                                    elif m <= j_hi_hi:
-                                        slot = m - j_hi
-                                        hi_nrow[slot] = c
-                                        parent[c] = hi_node
-                                        pslot[c] = slot
-                                        lk += y_hi_flip
-                                    else:
-                                        slot = m - km2
-                                        nzrow[slot] = c
-                                        parent[c] = z
-                                        pslot[c] = slot
-                                        lk += 2
-                                base = sy + sz
-                                for r in range(k):
-                                    c = zrow[r]
-                                    if not c:
-                                        continue
-                                    m = base + r
-                                    if m < j_lo:
-                                        nzrow[m] = c
-                                        parent[c] = z
-                                        pslot[c] = m
-                                    elif m <= j_lo_hi:
-                                        slot = m - j_lo
-                                        lo_nrow[slot] = c
-                                        parent[c] = lo_node
-                                        pslot[c] = slot
-                                        lk += 2
-                                    elif m < j_hi:
-                                        slot = m - km1
-                                        nzrow[slot] = c
-                                        parent[c] = z
-                                        pslot[c] = slot
-                                    elif m <= j_hi_hi:
-                                        slot = m - j_hi
-                                        hi_nrow[slot] = c
-                                        parent[c] = hi_node
-                                        pslot[c] = slot
-                                        lk += 2
-                                    else:
-                                        slot = m - km2
-                                        nzrow[slot] = c
-                                        parent[c] = z
-                                        pslot[c] = slot
-                            else:
-                                # ---- Case 2: chain reversed to z -> y -> x.
-                                if diff < 0:
-                                    lo_pos, hi_pos = pos_x, pos_y
-                                else:
-                                    lo_pos, hi_pos = pos_y, pos_x
-                                j2 = hi_pos - km2 + (km2 - (hi_pos - lo_pos)) // 2
-                                j2_lo = hi_pos - km2
-                                if j2_lo < 0:
-                                    j2_lo = 0
-                                j2_hi = km1 if km1 < lo_pos else lo_pos
-                                if j2 < j2_lo:
-                                    j2 = j2_lo
-                                elif j2 > j2_hi:
-                                    j2 = j2_hi
-                                j2hi = j2 + km2
-                                routing_rows[z] = merged[:j2] + merged[j2hi:]
-                                pos_x2 = pos_x - j2
-                                if pol_center:
-                                    j1 = pos_x2 - half
-                                elif pol_left:
-                                    j1 = pos_x2 - km1
-                                else:
-                                    j1 = pos_x2
-                                lo = pos_x2 - km1
-                                if lo < 0:
-                                    lo = 0
-                                hi = km1 if km1 < pos_x2 else pos_x2
-                                if j1 < lo:
-                                    j1 = lo
-                                elif j1 > hi:
-                                    j1 = hi
-                                j1hi = j1 + km1
-                                a1 = j2 + j1
-                                a2 = a1 + km1
-                                routing_rows[x] = merged[a1:a2]
-                                routing_rows[y] = merged[j2:a1] + merged[a2:j2hi]
-                                nzrow[j2] = y
-                                parent[y] = z
-                                pslot[y] = j2
-                                nyrow[j1] = x
-                                parent[x] = y
-                                pslot[x] = j1
-                                for m in range(sy):
-                                    c = xrow[m]
-                                    if not c:
-                                        continue
-                                    if m < j2:
-                                        nzrow[m] = c
-                                        parent[c] = z
-                                        pslot[c] = m
-                                        lk += 2
-                                    else:
-                                        m2 = m - j2
-                                        if m2 > km2:
-                                            slot = m - km2
-                                            nzrow[slot] = c
-                                            parent[c] = z
-                                            pslot[c] = slot
-                                            lk += 2
-                                        elif m2 < j1:
-                                            nyrow[m2] = c
-                                            parent[c] = y
-                                            pslot[c] = m2
-                                            lk += 2
-                                        elif m2 <= j1hi:
-                                            slot = m2 - j1
-                                            nxrow[slot] = c
-                                            parent[c] = x
-                                            pslot[c] = slot
-                                        else:
-                                            slot = m2 - km1
-                                            nyrow[slot] = c
-                                            parent[c] = y
-                                            pslot[c] = slot
-                                            lk += 2
-                                for s in range(sy + 1, k):
-                                    c = xrow[s]
-                                    if not c:
-                                        continue
-                                    m = s + km2
-                                    if m < j2:
-                                        nzrow[m] = c
-                                        parent[c] = z
-                                        pslot[c] = m
-                                        lk += 2
-                                    else:
-                                        m2 = m - j2
-                                        if m2 > km2:
-                                            slot = m - km2
-                                            nzrow[slot] = c
-                                            parent[c] = z
-                                            pslot[c] = slot
-                                            lk += 2
-                                        elif m2 < j1:
-                                            nyrow[m2] = c
-                                            parent[c] = y
-                                            pslot[c] = m2
-                                            lk += 2
-                                        elif m2 <= j1hi:
-                                            slot = m2 - j1
-                                            nxrow[slot] = c
-                                            parent[c] = x
-                                            pslot[c] = slot
-                                        else:
-                                            slot = m2 - km1
-                                            nyrow[slot] = c
-                                            parent[c] = y
-                                            pslot[c] = slot
-                                            lk += 2
-                                for t in range(sz):
-                                    c = yrow[t]
-                                    if not c:
-                                        continue
-                                    m = sy + t
-                                    if m < j2:
-                                        nzrow[m] = c
-                                        parent[c] = z
-                                        pslot[c] = m
-                                        lk += 2
-                                    else:
-                                        m2 = m - j2
-                                        if m2 > km2:
-                                            slot = m - km2
-                                            nzrow[slot] = c
-                                            parent[c] = z
-                                            pslot[c] = slot
-                                            lk += 2
-                                        elif m2 < j1:
-                                            nyrow[m2] = c
-                                            parent[c] = y
-                                            pslot[c] = m2
-                                        elif m2 <= j1hi:
-                                            slot = m2 - j1
-                                            nxrow[slot] = c
-                                            parent[c] = x
-                                            pslot[c] = slot
-                                            lk += 2
-                                        else:
-                                            slot = m2 - km1
-                                            nyrow[slot] = c
-                                            parent[c] = y
-                                            pslot[c] = slot
-                                for t in range(sz + 1, k):
-                                    c = yrow[t]
-                                    if not c:
-                                        continue
-                                    m = sy + t + km1
-                                    if m < j2:
-                                        nzrow[m] = c
-                                        parent[c] = z
-                                        pslot[c] = m
-                                        lk += 2
-                                    else:
-                                        m2 = m - j2
-                                        if m2 > km2:
-                                            slot = m - km2
-                                            nzrow[slot] = c
-                                            parent[c] = z
-                                            pslot[c] = slot
-                                            lk += 2
-                                        elif m2 < j1:
-                                            nyrow[m2] = c
-                                            parent[c] = y
-                                            pslot[c] = m2
-                                        elif m2 <= j1hi:
-                                            slot = m2 - j1
-                                            nxrow[slot] = c
-                                            parent[c] = x
-                                            pslot[c] = slot
-                                            lk += 2
-                                        else:
-                                            slot = m2 - km1
-                                            nyrow[slot] = c
-                                            parent[c] = y
-                                            pslot[c] = slot
-                                base = sy + sz
-                                for r in range(k):
-                                    c = zrow[r]
-                                    if not c:
-                                        continue
-                                    m = base + r
-                                    if m < j2:
-                                        nzrow[m] = c
-                                        parent[c] = z
-                                        pslot[c] = m
-                                    else:
-                                        m2 = m - j2
-                                        if m2 > km2:
-                                            slot = m - km2
-                                            nzrow[slot] = c
-                                            parent[c] = z
-                                            pslot[c] = slot
-                                        elif m2 < j1:
-                                            nyrow[m2] = c
-                                            parent[c] = y
-                                            pslot[c] = m2
-                                            lk += 2
-                                        elif m2 <= j1hi:
-                                            slot = m2 - j1
-                                            nxrow[slot] = c
-                                            parent[c] = x
-                                            pslot[c] = slot
-                                            lk += 2
-                                        else:
-                                            slot = m2 - km1
-                                            nyrow[slot] = c
-                                            parent[c] = y
-                                            pslot[c] = slot
-                                            lk += 2
-                            if grand:
-                                child_rows[grand][gslot] = z
-                                parent[z] = grand
-                                pslot[z] = gslot
-                                lk += 2
-                            else:
-                                parent[z] = 0
-                                pslot[z] = -1
-                                self.root = z
-                            p = grand
-                            # ==== end inline splay =====================
+                            lk += spl(climb, policy)
+                        p = parent[climb]
                     if final:
                         break
                     climb = v

@@ -3,9 +3,8 @@
 :mod:`repro.optimal.general` holds the Theorem 2 DP (exact int64 forward
 pass + reconstruction); :mod:`repro.optimal.context` the demand-derived
 inputs shared across the arities of a sweep; :mod:`repro.optimal.uniform`
-the O(n²k) uniform-workload specialization; :mod:`repro.optimal.legacy`
-the historical float64 forward pass kept as a regression/benchmark
-baseline; :mod:`repro.optimal.reference` the slow independent oracles.
+the O(n²k) uniform-workload specialization; :mod:`repro.optimal.reference`
+the slow, independent, exact oracles the tests check against.
 """
 
 from repro.optimal.context import (

@@ -14,7 +14,7 @@ from repro.optimal import (
     optimal_static_cost_table,
     optimal_static_tree,
 )
-from repro.optimal.legacy import legacy_optimal_cost_table
+from repro.optimal.reference import reference_optimal_cost
 from repro.optimal.wmatrix import boundary_crossing_matrix
 from repro.workloads.demand import DemandMatrix
 
@@ -98,7 +98,7 @@ class TestCrossArityReuse:
             fresh = optimal_static_cost_table(
                 d, k, context=DemandContext.from_demand(d)
             )
-            assert shared == fresh == int(round(legacy_optimal_cost_table(d, k)))
+            assert shared == fresh == reference_optimal_cost(d, k)
 
     def test_reconstruction_agrees_with_seeded_tables(self, rng):
         d = random_demand(rng, 18)

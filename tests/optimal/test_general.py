@@ -38,15 +38,9 @@ class TestAgainstReferences:
         assert optimal_static_cost_table(d, 3) == reference_optimal_cost(d, 3)
 
     @pytest.mark.parametrize("k", [2, 3, 7])
-    def test_matches_legacy_forward_pass(self, k, rng):
-        # The historical float64 implementation, at sizes where the pure
-        # Python reference is too slow.
-        from repro.optimal.legacy import legacy_optimal_cost_table
-
+    def test_matches_reference_at_medium_n(self, k, rng):
         d = random_demand(rng, 40)
-        assert optimal_static_cost_table(d, k) == int(
-            round(legacy_optimal_cost_table(d, k))
-        )
+        assert optimal_static_cost_table(d, k) == reference_optimal_cost(d, k)
 
 
 class TestExactness:

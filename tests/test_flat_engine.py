@@ -12,16 +12,28 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core._native as _native
 from repro.core.builders import build_balanced_tree, build_random_tree
 from repro.core.centroid_splaynet import CentroidSplayNet
 from repro.core.engine import ENGINES, resolve_engine, set_default_engine
 from repro.core.flat import FlatTree, tree_signature
+from repro.core.rotations import BLOCK_POLICIES
 from repro.core.splaynet import KArySplayNet
 from repro.errors import EngineError, InvalidTreeError
 from repro.network.lazy import LazyRebuildNetwork
 from repro.network.simulator import Simulator
 from repro.network.static import StaticTreeNetwork
 from repro.workloads.synthetic import uniform_trace, zipf_trace
+
+try:
+    from hypothesis import given, seed, settings
+    from hypothesis import strategies as st
+except ImportError:  # pragma: no cover - hypothesis is installed in CI
+    given = None
+
+#: Fixed hypothesis seed: the drawn cases are the same on every run, and a
+#: failure reports its ``trace_seed`` in the falsifying example.
+HYPOTHESIS_SEED = 20261017
 
 
 def result_tuple(res):
@@ -171,13 +183,34 @@ class TestBatchedEquivalence:
         assert all(t == reference_totals for t in totals.values()), totals
         assert all(s == reference_signature for s in signatures.values())
 
-    @pytest.mark.parametrize("k", [2, 3, 5])
-    def test_serve_trace_matches_scalar_loop(self, k):
+    @pytest.mark.parametrize(
+        "k, policy, kernel_k",
+        [
+            pytest.param(
+                k,
+                policy,
+                _native.MAX_NATIVE_K,
+                id=str(k) if policy == "center" else f"{k}-{policy}",
+            )
+            for k in (2, 3, 5)
+            for policy in BLOCK_POLICIES
+        ]
+        + [
+            pytest.param(5, policy, 4, id=f"5-{policy}-past-kernel-arity")
+            for policy in BLOCK_POLICIES
+        ],
+    )
+    def test_serve_trace_matches_scalar_loop(self, k, policy, kernel_k, monkeypatch):
+        # Past the kernel's arity, native serves through the flat engine.
+        # No buildable tree gets there (the kernel's cap equals the
+        # keyspace's MAX_K), so the cap is lowered instead.
+        monkeypatch.setattr(_native, "MAX_NATIVE_K", kernel_k)
         n, m = 32, 300
         trace = uniform_trace(n, m, seed=k)
+        outcomes = []
         for engine in ENGINES:
-            scalar = KArySplayNet(n, k, engine=engine)
-            batched = KArySplayNet(n, k, engine=engine)
+            scalar = KArySplayNet(n, k, engine=engine, policy=policy)
+            batched = KArySplayNet(n, k, engine=engine, policy=policy)
             totals = [0, 0, 0]
             for u, v in trace.pairs():
                 r = scalar.serve(u, v)
@@ -190,7 +223,12 @@ class TestBatchedEquivalence:
                 batch.total_rotations,
                 batch.total_links_changed,
             ) == tuple(totals), engine
-            assert tree_signature(scalar.tree) == tree_signature(batched.tree)
+            signature = tree_signature(batched.tree)
+            assert tree_signature(scalar.tree) == signature
+            outcomes.append((tuple(totals), signature))
+            if k > kernel_k:  # the kernel never took the state
+                assert getattr(batched.flat, "_handle", None) is None
+        assert all(outcome == outcomes[0] for outcome in outcomes)
 
     def test_serve_trace_series_and_cross_engine(self):
         n, k, m = 40, 3, 400
@@ -328,3 +366,58 @@ class TestFlatLongRun:
         )
         assert tree_signature(obj.tree) == flat.flat.signature()
         flat.validate()
+
+
+# ----------------------------------------------------------------------
+# interleaved scalar and batched serving (hypothesis, optional)
+# ----------------------------------------------------------------------
+if given is not None:
+
+    @seed(HYPOTHESIS_SEED)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=40),
+        k=st.integers(min_value=2, max_value=6),
+        policy=st.sampled_from(BLOCK_POLICIES),
+        trace_seed=st.integers(min_value=0, max_value=2**32 - 1),
+        chunks=st.lists(
+            st.tuples(st.integers(0, 40), st.booleans()), min_size=1, max_size=8
+        ),
+    )
+    def test_property_interleaved_scalar_and_batched(
+        n, k, policy, trace_seed, chunks
+    ):
+        """Chunks served by ``serve_trace`` or request by request, in any
+        interleaving, give every engine the same per-chunk totals and the
+        same final topology.  This pins the batch loop's own code: the
+        epoch scratch it shares with ``lca()``, the adjacency short-circuit
+        and the native engine's resident/list syncs."""
+        rng = np.random.default_rng(trace_seed)
+        m = sum(size for size, _ in chunks)
+        sources = rng.integers(1, n + 1, size=m).tolist()
+        targets = rng.integers(1, n + 1, size=m).tolist()
+        outcomes = []
+        for engine in ENGINES:
+            net = KArySplayNet(n, k, engine=engine, policy=policy)
+            per_chunk = []
+            start = 0
+            for size, batched in chunks:
+                us = sources[start : start + size]
+                vs = targets[start : start + size]
+                start += size
+                if batched:
+                    b = net.serve_trace(us, vs)
+                    per_chunk.append(
+                        (b.total_routing, b.total_rotations, b.total_links_changed)
+                    )
+                else:
+                    results = [net.serve(u, v) for u, v in zip(us, vs)]
+                    per_chunk.append(
+                        (
+                            sum(r.routing_cost for r in results),
+                            sum(r.rotations for r in results),
+                            sum(r.links_changed for r in results),
+                        )
+                    )
+            outcomes.append((per_chunk, tree_signature(net.tree)))
+        assert all(outcome == outcomes[0] for outcome in outcomes), ENGINES
