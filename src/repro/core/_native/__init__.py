@@ -58,8 +58,9 @@ MAX_NATIVE_K = 40
 
 #: Expected ``repro_kernel_abi()`` value; stale cached shared objects that
 #: report a different version are rebuilt.  Version 2 added the
-#: resident-tree handle API, version 3 the DP forward passes.
-_ABI_VERSION = 3
+#: resident-tree handle API, version 3 the DP forward passes, version 4
+#: the identifier range check inside ``repro_tree_serve_batch``.
+_ABI_VERSION = 4
 
 _COMPILERS = ("cc", "gcc", "clang")
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-fvisibility=default")
@@ -168,16 +169,17 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.c_void_p,  # children
         ctypes.c_void_p,  # routing
     )
+    int64_p = ctypes.POINTER(ctypes.c_int64)
     fn = lib.repro_tree_serve_batch
     fn.restype = ctypes.c_int64
     fn.argtypes = (
         ctypes.c_void_p,  # handle
-        ctypes.c_void_p,  # sources
-        ctypes.c_void_p,  # targets
+        int64_p,  # sources
+        int64_p,  # targets
         ctypes.c_int64,  # m
         ctypes.c_int64,  # policy
-        ctypes.c_void_p,  # routing_series (nullable)
-        ctypes.c_void_p,  # rotation_series (nullable)
+        int64_p,  # routing_series (nullable)
+        int64_p,  # rotation_series (nullable)
         ctypes.c_void_p,  # totals
     )
     fn = lib.repro_tree_serve_one

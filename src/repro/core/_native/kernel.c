@@ -39,8 +39,9 @@
  * different version.  Version 2 added the resident-tree handle API
  * (repro_tree_create / load / serve_batch / serve_one / sync_out /
  * destroy); version 3 added the DP forward passes (repro_dp_general /
- * repro_dp_uniform). */
-#define RK_ABI_VERSION 3
+ * repro_dp_uniform); version 4 made repro_tree_serve_batch (and so
+ * repro_tree_serve_one) reject out-of-range identifiers with status 2. */
+#define RK_ABI_VERSION 4
 
 int64_t repro_kernel_abi(void) { return RK_ABI_VERSION; }
 
@@ -945,7 +946,11 @@ void repro_tree_sync_out(void *handle, int64_t *root_out, int64_t *parent,
  * out buffer (routing, rotations, links); routing_series /
  * rotation_series are optional length-m out buffers (both NULL or both
  * set).  Returns 0 on success, 1 when the arity is outside the supported
- * range (the caller then falls back to the Python engine). */
+ * range (the caller then falls back to the Python engine), 2 when a
+ * non-self pair names an identifier outside 1..n.  Both failures happen
+ * before anything is served: the resident state is left untouched.  A
+ * self pair (u == v) is never indexed, so it serves at cost 0 whatever
+ * its identifier, exactly as in the Python engines. */
 int64_t repro_tree_serve_batch(void *handle, const int64_t *sources,
                                const int64_t *targets, int64_t m,
                                int64_t policy, int64_t *routing_series,
@@ -956,6 +961,13 @@ int64_t repro_tree_serve_batch(void *handle, const int64_t *sources,
     if (!rk_ctx_init(&c, t->k, policy, t->parent, t->pslot, t->children,
                      t->routing, t->root))
         return 1;
+    const uint64_t n = (uint64_t)t->n;
+    for (int64_t i = 0; i < m; i++) {
+        const int64_t u = sources[i], v = targets[i];
+        /* Unsigned wrap-around: (uint64_t)x - 1 >= n  <=>  x < 1 || x > n. */
+        if (u != v && ((uint64_t)u - 1 >= n || (uint64_t)v - 1 >= n))
+            return 2;
+    }
     rk_serve_requests(&c, t->visit, t->vdepth, &t->epoch, sources, targets,
                       m, routing_series, rotation_series, totals);
     t->root = c.root;

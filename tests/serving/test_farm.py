@@ -229,6 +229,43 @@ class TestServeGrouped:
             assert farm.metrics.windows == 1
             assert farm.metrics.requests == 4
 
+    def test_mixed_window_per_entry_totals_match_clean_sessions(self):
+        """One window mixing 1-request and multi-request entries, with a
+        key that comes back after other keys: every entry's totals equal
+        a clean per-key session serving the same entries in order."""
+        n, k = 64, 4
+        rng = random.Random(17)
+        shape = [("a", 1), ("b", 6), ("a", 1), ("c", 1), ("a", 9), ("b", 1)]
+        batches = [
+            (
+                key,
+                [rng.randrange(1, n + 1) for _ in range(size)],
+                [rng.randrange(1, n + 1) for _ in range(size)],
+            )
+            for key, size in shape
+        ]
+        with ServeFarm("kary-splaynet", n=n, k=k, shards=1) as farm:
+            results = farm.serve_grouped(0, batches)
+            assert farm.metrics.windows == 1
+        sessions: dict = {}
+        expected = []
+        for key, sources, targets in batches:
+            if key not in sessions:
+                sessions[key] = open_session("kary-splaynet", n=n, k=k)
+            clean = sessions[key].serve_stream(sources, targets)
+            expected.append(
+                (
+                    clean.m,
+                    clean.total_routing,
+                    clean.total_rotations,
+                    clean.total_links_changed,
+                )
+            )
+        assert [
+            (r.m, r.total_routing, r.total_rotations, r.total_links_changed)
+            for r in results
+        ] == expected
+
     def test_wrong_shard_key_is_rejected(self):
         with ServeFarm("kary-splaynet", n=8, shards=2) as farm:
             key = "some-key"

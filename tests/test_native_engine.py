@@ -352,6 +352,44 @@ class TestResidentRuntime:
         # Degenerate out-of-range self-pair short-circuits at cost 0.
         assert result_tuple(nat.serve(50, 50)) == (0, 0, 0)
 
+    @pytest.mark.parametrize(
+        "position, bad",
+        [
+            ("middle", 41),
+            ("last", 0),
+            ("middle", -(2**63)),
+            ("last", 2**63 - 1),
+        ],
+    )
+    def test_out_of_range_batch_is_all_or_nothing(self, position, bad):
+        """The kernel checks a whole batch before serving any of it: a
+        bad identifier anywhere leaves the resident tree untouched, and
+        serving goes on as if the batch had never been sent."""
+        from repro.core.builders import build_balanced_tree
+
+        n, k = 40, 4
+        trace = zipf_trace(n, 300, 1.2, seed=31)
+        nat = NativeTree.from_tree(build_balanced_tree(n, k))
+        clean = NativeTree.from_tree(build_balanced_tree(n, k))
+        for tree in (nat, clean):
+            tree.serve_many(trace.sources[:150], trace.targets[:150])
+        assert nat._resident
+        signature = clean.signature()
+
+        sources = trace.sources[150:].copy()
+        targets = trace.targets[150:]
+        index = len(sources) // 2 if position == "middle" else -1
+        sources[index] = bad
+        with pytest.raises(EngineError, match=r"1\.\.40"):
+            nat.serve_many(sources, targets)
+        assert nat.signature() == signature
+
+        more = zipf_trace(n, 200, 1.2, seed=32)
+        assert nat.serve_many(more.sources, more.targets) == clean.serve_many(
+            more.sources, more.targets
+        )
+        assert nat.signature() == clean.signature()
+
     def test_mid_stream_snapshot_restore_through_sync(self):
         """A checkpoint cut while the kernel owns the state (dirty-flag
         sync path) must restore identically on every engine."""
