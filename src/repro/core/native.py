@@ -61,22 +61,30 @@ def _int64_arg(array: np.ndarray):
         return ctypes.c_int64.from_address(array.ctypes.data)
 
 
-def _kernel_writable(series, m: int) -> bool:
-    """Whether the kernel can write ``m`` series entries into ``series``."""
-    return (
-        isinstance(series, np.ndarray)
-        and series.dtype == np.int64
-        and series.flags.c_contiguous
-        and series.flags.writeable
-        and len(series) >= m
+def _out_of_range(n: int) -> EngineError:
+    return EngineError(
+        f"request identifiers must be in 1..{n} for the native kernel"
     )
+
+
+def _check_range(sources, targets, n: int) -> None:
+    """The kernel's all-or-nothing ``1..n`` check, for the Python fallback.
+
+    Only non-self pairs are checked: ``u == v`` serves at cost 0 without
+    indexing anything, on every engine.
+    """
+    src = np.asarray(sources, dtype=np.int64)
+    dst = np.asarray(targets, dtype=np.int64)
+    m = min(len(src), len(dst))  # zip() semantics
+    su, sv = src[:m], dst[:m]
+    bad = ((su < 1) | (su > n) | (sv < 1) | (sv > n)) & (su != sv)
+    if bad.any():
+        raise _out_of_range(n)
 
 
 def _check_status(status: int, n: int) -> None:
     if status == _STATUS_OUT_OF_RANGE:
-        raise EngineError(
-            f"request identifiers must be in 1..{n} for the native kernel"
-        )
+        raise _out_of_range(n)
     if status != 0:  # pragma: no cover - arity guarded by the callers
         raise EngineError(f"native serve kernel failed (status {status})")
 
@@ -215,6 +223,9 @@ class NativeTree(FlatTree):
             # out-of-range identifiers (served at cost 0, never indexed).
             return 0, 0, 0
         if self._ensure_resident() is None:
+            # The pure-Python path does no range check: make the kernel's.
+            if not (1 <= u <= self.n and 1 <= v <= self.n):
+                raise _out_of_range(self.n)
             self._sync_lists()
             return super().serve_one(u, v, policy, depth)
         totals = self._c_totals
@@ -243,7 +254,8 @@ class NativeTree(FlatTree):
         for bit (pinned by ``tests/test_native_engine.py``).  Only the
         request arrays cross the ctypes boundary; the tree state stays
         resident in the handle.  The kernel checks every non-self pair
-        against ``1..n`` before serving any of them: an out-of-range
+        against ``1..n`` before serving any of them (the fallback for a
+        missing kernel makes the same check in Python): an out-of-range
         identifier raises :class:`EngineError` and serves nothing.
         """
         if policy not in BLOCK_POLICIES:
@@ -254,14 +266,16 @@ class NativeTree(FlatTree):
             raise EngineError(
                 "routing_series and rotation_series must be provided together"
             )
-        if (
-            depth != 2
-            or self.k > _native.MAX_NATIVE_K
-            or self._ensure_resident() is None
-        ):
-            # Deep-splay, oversized arities, and a kernel that vanished
-            # after construction (or a failed handle allocation) run the
-            # (equivalent) pure-Python discipline.
+        # Deep-splay and oversized arities run the (equivalent)
+        # pure-Python discipline.
+        fallback = depth != 2 or self.k > _native.MAX_NATIVE_K
+        if not fallback and self._ensure_resident() is None:
+            # A kernel that vanished after construction (or a failed
+            # handle allocation) degrades to the pure-Python path, which
+            # does no range check of its own: make the kernel's here.
+            _check_range(sources, targets, self.n)
+            fallback = True
+        if fallback:
             self._sync_lists()
             return super().serve_many(
                 sources,
@@ -277,16 +291,8 @@ class NativeTree(FlatTree):
         m = min(len(src), len(dst))  # zip() semantics
         record = routing_series is not None
         if record:
-            # serve_trace hands in int64 arrays: the kernel fills them in
-            # place.  Other buffers (lists, other dtypes) get a copy.
-            in_place = _kernel_writable(
-                routing_series, m
-            ) and _kernel_writable(rotation_series, m)
-            if in_place:
-                routing_out, rotation_out = routing_series, rotation_series
-            else:
-                routing_out = np.empty(m, dtype=np.int64)
-                rotation_out = np.empty(m, dtype=np.int64)
+            routing_out = np.empty(m, dtype=np.int64)
+            rotation_out = np.empty(m, dtype=np.int64)
             routing_arg = _int64_arg(routing_out)
             rotation_arg = _int64_arg(rotation_out)
         else:
@@ -307,7 +313,7 @@ class NativeTree(FlatTree):
             _check_status(status, self.n)
         self._ranges_dirty = True
 
-        if record and not in_place:
+        if record:
             routing_series[:m] = (
                 routing_out
                 if isinstance(routing_series, np.ndarray)

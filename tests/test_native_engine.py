@@ -113,6 +113,42 @@ class TestNoToolchainFallback:
     def test_best_available_engine_degrades(self, no_native):
         assert best_available_engine() == "flat"
 
+    @pytest.mark.parametrize(
+        "position, bad", [("middle", -1), ("last", 41), ("last", -7)]
+    )
+    def test_fallback_keeps_the_range_check(self, monkeypatch, position, bad):
+        """A NativeTree whose kernel goes away serves on the pure-Python
+        path, which must reject out-of-range identifiers all-or-nothing
+        just as the kernel does (a negative id would otherwise wrap
+        around the Python lists)."""
+        from repro.core.builders import build_balanced_tree
+
+        n, k = 40, 4
+        trace = zipf_trace(n, 300, 1.2, seed=33)
+        nat = NativeTree.from_tree(build_balanced_tree(n, k))
+        clean = FlatTree.from_tree(build_balanced_tree(n, k))
+        for tree in (nat, clean):
+            tree.serve_many(trace.sources[:150], trace.targets[:150])
+        signature = nat.signature()  # syncs a resident handle out
+        assert signature == clean.signature()
+        monkeypatch.setattr(_native, "load_kernel", lambda: None)
+
+        sources = trace.sources[150:].copy()
+        targets = trace.targets[150:]
+        index = len(sources) // 2 if position == "middle" else -1
+        sources[index] = bad
+        with pytest.raises(EngineError, match=r"1\.\.40"):
+            nat.serve_many(sources, targets)
+        with pytest.raises(EngineError, match=r"1\.\.40"):
+            nat.serve_one(1, bad)
+        assert nat.signature() == signature
+
+        more = zipf_trace(n, 200, 1.2, seed=34)
+        assert nat.serve_many(more.sources, more.targets) == clean.serve_many(
+            more.sources, more.targets
+        )
+        assert nat.signature() == clean.signature()
+
 
 # ----------------------------------------------------------------------
 # kernel equivalence (only with the kernel present)
