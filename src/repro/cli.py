@@ -694,8 +694,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--down-after", type=float, default=5.0,
-        help="heartbeat silence before a shard is declared down and"
-             " proactively respawned, seconds",
+        help="heartbeat silence before a shard is declared down, killed"
+             " and respawned, seconds",
     )
     serve.add_argument(
         "--max-respawns", type=int, default=2,

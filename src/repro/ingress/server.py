@@ -427,15 +427,9 @@ class IngressServer:
     def _metrics_snapshot(self) -> dict:
         farm_metrics = self.farm.metrics
         shards = self.farm.shards
-        # Farm-shaped stubs (tests) may lack the health/supervision
-        # surface; degrade to healthy/zero rather than demanding it.
-        pids = getattr(self.farm, "shard_pids", lambda: [None] * shards)()
-        states = getattr(
-            self.farm, "health_states", lambda: ["healthy"] * shards
-        )()
-        recoveries = getattr(
-            self.farm, "shard_recoveries", [0] * shards
-        )
+        pids = self.farm.shard_pids()
+        states = self.farm.health_states()
+        recoveries = self.farm.shard_recoveries
         shard_rows = []
         for shard in range(shards):
             breaker = (

@@ -12,7 +12,7 @@ reproducibly — storms it for several rounds:
   the server via ``REPRO_FAULTS``) fires ``error``-mode faults at the
   ``ingress.accept``, ``ingress.dispatch`` and ``farm.serve`` points at
   seeded invocation indices, exercising the client retry policy, the
-  ingress circuit breakers and the farm's reactive replay on top of the
+  ingress circuit breakers and the farm's journal replay on top of the
   kills.  The plan is ledger-backed so a fired index stays fired across
   worker respawns (a replayed journal must not re-trip old faults);
 * a control connection polls the v2 ``METRICS`` response (per-shard pid

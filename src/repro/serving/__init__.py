@@ -8,10 +8,12 @@ available, the flat engine otherwise — with batched dispatch, aggregate
 incremental metrics, and journal-replay recovery of killed workers.
 
 Self-healing rides on top (:mod:`repro.serving.health`): workers
-heartbeat on a dedicated pipe, a supervisor thread tracks per-shard
+heartbeat on a dedicated pipe, and a supervisor thread tracks per-shard
 :class:`HealthConfig`-driven state (healthy / suspect / down /
-recovering) and proactively respawns a dead shard before any dispatch
-fails; ``checkpoint_every=N`` bounds replay by warm-standby snapshots.
+recovering).  The supervisor is the only code that respawns a worker: it
+replaces a dead shard before any dispatch fails, kills a wedged one at
+its deadline, and a dispatch that meets a broken pipe waits for it;
+``checkpoint_every=N`` bounds replay by warm-standby snapshots.
 """
 
 from repro.serving.farm import FARM_FAULT_POINT, FarmMetrics, ServeFarm

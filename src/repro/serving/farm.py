@@ -11,32 +11,31 @@ collecting any acknowledgement, so shards serve concurrently; aggregate
 metrics (cost totals plus a mergeable latency histogram) accumulate
 incrementally from the acks.
 
-Fault tolerance follows the PR 6 pool-hardening playbook:
+Fault tolerance:
 
 * every worker batch passes a ``farm.serve`` injection point
   (:func:`~repro.reliability.faults.fire_fault`), so the reliability
-  suite can kill a worker deterministically mid-campaign;
-* a dead worker (broken pipe on send or EOF on receive) is respawned and
-  its state rebuilt by **journal replay**: the parent keeps every
-  acknowledged batch per shard per key and replays them — the serve
-  discipline is deterministic, so the rebuilt trees are cell-for-cell
-  identical — then re-sends the in-flight batch.  Replay acks are
-  dropped, so nothing is double counted.  Kill-style faults need a
-  ledger-backed :class:`~repro.reliability.faults.FaultPlan` (exactly as
-  with ``pool.task``) so the respawned worker does not re-fire the kill;
+  suite can kill a worker deterministically mid-campaign.  Kill-style
+  faults need a ledger-backed :class:`~repro.reliability.faults.FaultPlan`
+  (exactly as with ``pool.task``) so the respawned worker does not
+  re-fire the kill;
+* **health supervision** (:mod:`repro.serving.health`): every worker
+  beats on a dedicated heartbeat pipe, and a supervisor thread in the
+  parent feeds a :class:`~repro.serving.health.HealthMonitor`.  The
+  supervisor is the only code that respawns a worker, and heartbeat-pipe
+  EOF is its one death signal.  A worker that misses its ``down_after``
+  deadline (wedged, not dead) is killed first, so the EOF follows;
+* the replacement worker is rebuilt by **journal replay**: the parent
+  keeps every acknowledged batch per shard per key and replays them.
+  The serve discipline is deterministic, so the rebuilt trees are
+  cell-for-cell identical;
+* a caller that finds a shard's pipe broken (a dispatch or a query)
+  kills that worker, waits on the shard's condition until the supervisor
+  has replaced it, then re-sends.  The wait releases the shard lock, so
+  a caller blocked on a wedged worker never stalls supervision;
 * the respawn budget (``max_respawns``) turns a crash loop into a loud
-  :class:`~repro.errors.ReliabilityError` instead of a hang.
-
-Two layers on top of reactive replay (the self-healing subsystem):
-
-* **health supervision** (:mod:`repro.serving.health`): every worker runs
-  a heartbeat thread on a dedicated pipe; a supervisor thread in the
-  parent feeds a :class:`~repro.serving.health.HealthMonitor` and
-  *proactively* respawns a shard on heartbeat-pipe EOF (instant — the
-  worker died) or on a missed-beat deadline, before any dispatch has to
-  fail.  Per-shard locks make the proactive and reactive paths mutually
-  exclusive, and an epoch counter makes respawn idempotent when both
-  notice the same death.
+  :class:`~repro.errors.ReliabilityError` instead of a hang: the shard is
+  given up and every later call to it raises at once;
 * **warm standby** (``checkpoint_every=N``): workers cut engine-
   transferable :class:`~repro.net.session.SessionSnapshot` checkpoints
   at batch boundaries every ``N`` requests per key and ship them in the
@@ -163,7 +162,7 @@ def _worker_main(
 ) -> None:
     """One shard's serve loop: sessions owned here, commands via pipe.
 
-    Messages in: ``("serve", batches, replay)`` with ``batches`` a list of
+    Messages in: ``("serve", batches)`` with ``batches`` a list of
     ``(key, sources, targets)``; ``("restore", [(key, snapshot,
     covered)])``; ``("status",)``; ``("metrics",)``; ``("close",)``.
     Every reply is a tuple whose first element is ``"ok"`` or ``"error"``;
@@ -172,10 +171,10 @@ def _worker_main(
     ingress gateway answers each coalesced client request from exactly
     its own entry), the wall and CPU time spent serving (wall feeds the
     latency histogram, CPU the contention-immune per-shard busy
-    accounting), the echoed ``replay`` flag, and any warm-standby
-    snapshots cut this window (``[(key, SessionSnapshot, covered)]``
-    with ``covered`` the key's total served requests at the cut — always
-    a batch boundary, so the parent can prune its journal exactly).
+    accounting), and any warm-standby snapshots cut this window
+    (``[(key, SessionSnapshot, covered)]`` with ``covered`` the key's
+    total served requests at the cut — always a batch boundary, so the
+    parent can prune its journal exactly).
 
     Liveness is out of band: a daemon thread beats on ``hb_conn`` every
     ``hb_interval`` seconds so a stuck or dead worker is visible to the
@@ -214,7 +213,7 @@ def _worker_main(
             message = conn.recv()
             command = message[0]
             if command == "serve":
-                _, batches, replay = message
+                _, batches = message
                 try:
                     fault = fire_fault(
                         FARM_FAULT_POINT, context=f"shard={shard_index}"
@@ -256,9 +255,7 @@ def _worker_main(
                             since_snapshot[key] = since
                     cpu = time.process_time() - cpu_started
                     elapsed = time.perf_counter() - started
-                    conn.send(
-                        ("ok", details, elapsed, cpu, replay, snapshots)
-                    )
+                    conn.send(("ok", details, elapsed, cpu, snapshots))
                 except Exception as exc:  # noqa: BLE001 - relayed to parent
                     conn.send(("error", f"{type(exc).__name__}: {exc}"))
             elif command == "restore":
@@ -379,7 +376,6 @@ class ServeFarm:
         self.checkpoint_every = checkpoint_every
         self.respawns = 0
         self.replayed_requests = 0
-        self.recoveries = {"proactive": 0, "reactive": 0}
         self.shard_recoveries = [0] * shards
         self.router = ShardRouter(shards)
         self.metrics = FarmMetrics()
@@ -399,18 +395,17 @@ class ServeFarm:
         self._procs: list[Optional[Any]] = [None] * shards
         self._conns: list[Optional[Any]] = [None] * shards
         self._hb_conns: list[Optional[Any]] = [None] * shards
-        self._hb_graveyard: list[Any] = []
         self._closed = False
-        # Per-shard reentrant locks serialize everything that touches a
-        # shard's pipe + journal (dispatch, introspection, respawn), so
-        # the supervisor's proactive respawn and the dispatch path's
-        # reactive respawn are mutually exclusive.  Epochs make respawn
-        # idempotent when both notice the same death.
-        self._locks = [threading.RLock() for _ in range(shards)]
+        # One condition per shard: its lock serializes everything that
+        # touches the shard's pipe + journal (dispatch, introspection,
+        # respawn); callers that found the pipe broken wait on it until
+        # the supervisor bumps the shard's epoch (a replacement is up)
+        # or gives the shard up (``_gave_up`` holds the error message).
+        self._conds = [threading.Condition() for _ in range(shards)]
         self._epochs = [0] * shards
-        # Shared-state guard for per-shard concurrent dispatch (see
-        # serve_grouped): aggregate metrics and the respawn budget are
-        # the only cross-shard state touched on the dispatch path.
+        self._gave_up: list[Optional[str]] = [None] * shards
+        # Concurrent serve_grouped calls on distinct shards share only
+        # the aggregate metrics.
         self._metrics_lock = threading.Lock()
         self._supervisor: Optional[threading.Thread] = None
         self._stop_supervisor = threading.Event()
@@ -458,7 +453,6 @@ class ServeFarm:
                     hb_parent,
                     *self._conns,
                     *self._hb_conns,
-                    *self._hb_graveyard,
                 )
                 if end is not None
             )
@@ -515,12 +509,6 @@ class ServeFarm:
                 except OSError:  # pragma: no cover - already gone
                     pass
                 self._hb_conns[shard] = None
-        for hb in self._hb_graveyard:
-            try:
-                hb.close()
-            except OSError:  # pragma: no cover - already gone
-                pass
-        self._hb_graveyard.clear()
         for shard in range(self.shards):
             proc = self._procs[shard]
             if proc is not None:
@@ -536,73 +524,40 @@ class ServeFarm:
 
     # -- supervision ---------------------------------------------------
     def _supervise(self) -> None:
-        """Supervisor thread: drain heartbeats, escalate missed deadlines.
+        """Supervisor thread: the only code that respawns a worker.
 
-        Detection is two-speed: heartbeat-pipe EOF (the worker process
-        died) triggers an immediate proactive respawn, while silence on a
-        live pipe escalates through ``suspect`` to ``down`` on the
-        configured deadlines.  Both paths converge on
-        :meth:`_proactive_respawn`, which is epoch-guarded against the
-        dispatch path's reactive recovery.
+        Heartbeat-pipe EOF (the worker process died) is the one death
+        signal: the shard is marked ``down`` and respawned at once.
+        Silence on a live pipe escalates through ``suspect`` to ``down``
+        on the configured deadlines; a ``down`` worker is wedged rather
+        than dead, so it is killed *without* taking the shard lock (a
+        caller blocked on the wedged pipe may hold it).  That caller then
+        sees EOF and waits, releasing the lock, and the heartbeat EOF
+        that follows the kill respawns the shard.
         """
         from multiprocessing.connection import wait as _wait
 
         config = self.health_config
         timeout = min(config.interval, config.suspect_after / 2)
         while not self._stop_supervisor.is_set():
-            current: dict[int, tuple[Any, int]] = {}
-            targets: list[Any] = []
-            for shard in range(self.shards):
-                conn = self._hb_conns[shard]
-                if conn is not None:
-                    current[id(conn)] = (conn, shard)
-                    targets.append(conn)
-            graveyard = list(self._hb_graveyard)
-            try:
-                ready = _wait(targets + graveyard, timeout=timeout)
-            except OSError:  # pragma: no cover - pipe replaced mid-wait
-                continue
-            for conn in ready:
+            shard_of = {
+                conn: shard
+                for shard, conn in enumerate(self._hb_conns)
+                if conn is not None
+            }
+            for conn in _wait(list(shard_of), timeout=timeout):
                 if self._stop_supervisor.is_set():
                     return
-                entry = current.get(id(conn))
-                if entry is None or conn is not self._hb_conns[entry[1]]:
-                    # A pre-respawn pipe: drain it until EOF, then drop.
-                    try:
-                        conn.recv()
-                    except (EOFError, OSError):
-                        if conn in self._hb_graveyard:
-                            self._hb_graveyard.remove(conn)
-                        try:
-                            conn.close()
-                        except OSError:  # pragma: no cover
-                            pass
-                    continue
-                shard = entry[1]
+                shard = shard_of[conn]
                 try:
                     conn.recv()
                 except (EOFError, OSError):
-                    # The worker died: EOF beats any deadline.  Declare
-                    # down and respawn before a dispatch can fail.
                     self.health.mark(shard, DOWN)
-                    self._proactive_respawn(shard)
+                    self._respawn(shard, timeout)
                 else:
                     self.health.record_beat(shard)
             for shard in self.health.observe():
-                self._proactive_respawn(shard)
-
-    def _proactive_respawn(self, shard: int) -> None:
-        """Supervisor-initiated recovery, idempotent against races."""
-        epoch = self._epochs[shard]
-        with self._locks[shard]:
-            if self._closed or self._epochs[shard] != epoch:
-                return  # the reactive path (or close) got there first
-            try:
-                self._respawn(shard, proactive=True)
-            except ReliabilityError:
-                # Budget exhausted: the shard stays down and the next
-                # dispatch raises the loud give-up error.
-                pass
+                self._procs[shard].kill()
 
     def shard_pids(self) -> list[Optional[int]]:
         """Current worker pid per shard (changes across respawns)."""
@@ -615,118 +570,134 @@ class ServeFarm:
         return self.health.states()
 
     # -- fault recovery ------------------------------------------------
-    def _respawn(self, shard: int, *, proactive: bool = False) -> None:
-        """Replace a dead worker; rebuild its state from snapshots + journal.
+    def _respawn(self, shard: int, timeout: float) -> None:
+        """Replace a dead worker and rebuild its state (supervisor only).
 
-        Warm standby first: the replacement restores every key's latest
-        shipped snapshot, then replays only the journal suffix past each
-        snapshot — bounded by ``checkpoint_every`` requests per key.
-        Without checkpoints this degrades to full journal replay.
+        If a caller still holds the shard lock after ``timeout`` (it is
+        waiting on another shard, or has yet to see the EOF), nothing
+        happens: the heartbeat pipe stays at EOF, so the next supervision
+        pass retries.  A replacement that dies during its rebuild spends
+        another respawn, and so does one whose rebuild fails (it holds
+        partial state); past ``max_respawns`` the shard is given up.
+        Either way every caller waiting on the shard's condition is
+        woken.
         """
-        with self._locks[shard]:
-            with self._metrics_lock:
+        cond = self._conds[shard]
+        if not cond.acquire(timeout=timeout):
+            return
+        try:
+            while not self._closed:
                 self.respawns += 1
-                spent = self.respawns
-            if spent > self.max_respawns:
-                self.health.mark(shard, DOWN)
-                raise ReliabilityError(
-                    f"serve farm gave up after {self.max_respawns}"
-                    f" respawn(s): shard {shard} keeps dying"
-                )
-            self.health.mark(shard, RECOVERING)
-            old_conn = self._conns[shard]
-            if old_conn is not None:
-                old_conn.close()
-            old_hb = self._hb_conns[shard]
-            if old_hb is not None:
-                # The supervisor may be mid-wait on this pipe: hand it
-                # to the graveyard instead of closing under its feet.
-                self._hb_conns[shard] = None
-                self._hb_graveyard.append(old_hb)
-            old_proc = self._procs[shard]
-            if old_proc is not None:
-                if old_proc.is_alive():
-                    # Proactive deadline-based respawn: the old worker
-                    # may be wedged rather than dead.
-                    old_proc.terminate()
+                if self.respawns > self.max_respawns:
+                    # Stop watching the shard; every call to it now raises.
+                    self._gave_up[shard] = (
+                        f"serve farm gave up after {self.max_respawns}"
+                        f" respawn(s): shard {shard} keeps dying"
+                    )
+                    self.health.mark(shard, DOWN)
+                    self._procs[shard].kill()
+                    self._hb_conns[shard].close()
+                    self._hb_conns[shard] = None
+                    break
+                self.health.mark(shard, RECOVERING)
+                self._conns[shard].close()
+                self._hb_conns[shard].close()
+                old_proc = self._procs[shard]
+                old_proc.kill()
                 old_proc.join(timeout=5.0)
-                if old_proc.is_alive():  # pragma: no cover - defensive
-                    old_proc.kill()
-                    old_proc.join(timeout=5.0)
-            self._start_worker(shard)
-            self._epochs[shard] += 1
-            # Deterministic rebuild: restore the latest snapshots, then
-            # replay the journal suffix per key in order.  Replay acks
-            # carry replay=True and are not re-aggregated; a ledger-
-            # backed fault plan guarantees a fired kill stays fired.
-            conn = self._conns[shard]
-            try:
-                restores = [
-                    (key, snapshot, self._journal_base[shard][key])
-                    for key, snapshot in self._snapshots[shard].items()
-                ]
-                if restores:
-                    conn.send(("restore", restores))
-                    reply = conn.recv()
-                    if reply[0] == "error":
-                        self.health.mark(shard, DOWN)
-                        raise ReliabilityError(
-                            f"serve farm shard {shard} failed snapshot"
-                            f" restore: {reply[1]}"
-                        )
-                for key, entries in self._journal[shard].items():
-                    if not entries:
-                        continue
-                    batches = [
-                        (key, sources, targets)
-                        for sources, targets in entries
-                    ]
-                    conn.send(("serve", batches, True))
-                    reply = conn.recv()
-                    if reply[0] == "error":
-                        self.health.mark(shard, DOWN)
-                        raise ReliabilityError(
-                            f"serve farm shard {shard} failed during"
-                            f" journal replay: {reply[1]}"
-                        )
-                    with self._metrics_lock:
-                        self.replayed_requests += sum(
-                            len(sources) for sources, _ in entries
-                        )
-            except (BrokenPipeError, EOFError, OSError):
-                self._respawn(shard, proactive=proactive)
-                return  # budget-bounded recursion finished the job
-            with self._metrics_lock:
-                self.recoveries[
-                    "proactive" if proactive else "reactive"
-                ] += 1
+                self._start_worker(shard)
+                try:
+                    self._rebuild(shard)
+                except (EOFError, OSError, ReliabilityError):
+                    continue  # the replacement died or failed its rebuild
+                self._epochs[shard] += 1
                 self.shard_recoveries[shard] += 1
-            self.health.mark(shard, HEALTHY)
+                self.health.mark(shard, HEALTHY)
+                break
+            cond.notify_all()
+        finally:
+            cond.release()
+
+    def _rebuild(self, shard: int) -> None:
+        """Restore the latest snapshots, then replay the journal suffix.
+
+        Warm standby bounds the replay to ``checkpoint_every`` requests
+        per key; without checkpoints the whole journal replays.  Replay
+        acks are read here and never aggregated, and a ledger-backed
+        fault plan guarantees a fired kill stays fired.
+        """
+        conn = self._conns[shard]
+        restores = [
+            (key, snapshot, self._journal_base[shard][key])
+            for key, snapshot in self._snapshots[shard].items()
+        ]
+        if restores:
+            conn.send(("restore", restores))
+            reply = conn.recv()
+            if reply[0] == "error":
+                raise ReliabilityError(
+                    f"serve farm shard {shard} failed snapshot"
+                    f" restore: {reply[1]}"
+                )
+        for key, entries in self._journal[shard].items():
+            if not entries:
+                continue
+            batches = [(key, sources, targets) for sources, targets in entries]
+            conn.send(("serve", batches))
+            reply = conn.recv()
+            if reply[0] == "error":
+                raise ReliabilityError(
+                    f"serve farm shard {shard} failed during"
+                    f" journal replay: {reply[1]}"
+                )
+            self.replayed_requests += sum(len(s) for s, _ in entries)
+
+    def _await_respawn(self, shard: int) -> None:
+        """Wait for the supervisor to replace ``shard``'s worker.
+
+        The caller holds the shard's condition and found the worker's
+        pipe broken.  Killing the worker makes heartbeat EOF certain;
+        the wait releases the shard lock so the supervisor can take it.
+        Raises the give-up error if the shard is given up instead.
+        """
+        self._check_open()
+        epoch = self._epochs[shard]
+        self._procs[shard].kill()
+        while not (
+            self._epochs[shard] != epoch
+            or self._gave_up[shard] is not None
+            or self._closed
+        ):
+            # The timeout only bounds the wait when close() stops the
+            # supervisor under a waiter.
+            self._conds[shard].wait(self.health_config.interval)
+        if self._gave_up[shard] is not None:
+            raise ReliabilityError(self._gave_up[shard])
+        self._check_open()
 
     # -- dispatch ------------------------------------------------------
     def _send_serve(self, shard: int, batches) -> None:
-        try:
-            self._conns[shard].send(("serve", batches, False))
-        except (BrokenPipeError, OSError):
-            self._respawn(shard)
-            self._conns[shard].send(("serve", batches, False))
+        while True:
+            try:
+                self._conns[shard].send(("serve", batches))
+                return
+            except OSError:  # BrokenPipeError, or a closed handle
+                self._await_respawn(shard)
 
     def _await_ack(self, shard: int, batches):
-        """Collect one non-replay serve ack, surviving a worker death."""
+        """Collect one serve ack, re-sending to a replacement worker."""
         while True:
             try:
                 reply = self._conns[shard].recv()
             except (EOFError, OSError):
-                self._respawn(shard)
+                self._await_respawn(shard)
                 self._send_serve(shard, batches)
                 continue
             if reply[0] == "error":
                 raise ReliabilityError(
                     f"serve farm shard {shard} failed: {reply[1]}"
                 )
-            _, details, elapsed, cpu, replay, snapshots = reply
-            if replay:  # stale ack from a pre-respawn replay: drop
-                continue
+            _, details, elapsed, cpu, snapshots = reply
             return details, elapsed, cpu, snapshots
 
     def _record_journal(self, shard: int, batches, snapshots) -> None:
@@ -787,17 +758,21 @@ class ServeFarm:
 
         All sends complete before the first receive, so shards serve the
         window concurrently; acknowledged batches enter the journal.
-        Involved shard locks are taken in sorted order (the supervisor
-        takes one at a time, so lock order cannot deadlock).
+        Shard locks are taken in ascending order and each is released as
+        its ack arrives, in descending order.  A caller waiting for a
+        respawn releases only the lock of the shard it waits on, and
+        takes it back while holding lower shards' locks alone, so the
+        lock order holds across the wait.
         """
-        shards = sorted(grouped)
-        for shard in shards:
-            self._locks[shard].acquire()
+        held: list[int] = []
+        totals = [0, 0, 0, 0]
         try:
-            for shard in shards:
+            for shard in sorted(grouped):
+                self._conds[shard].acquire()
+                held.append(shard)
                 self._send_serve(shard, grouped[shard])
-            totals = [0, 0, 0, 0]
-            for shard in shards:
+            while held:
+                shard = held[-1]
                 for m, routing, rotations, links in self._collect_shard(
                     shard, grouped[shard]
                 ):
@@ -805,9 +780,10 @@ class ServeFarm:
                     totals[1] += routing
                     totals[2] += rotations
                     totals[3] += links
+                self._conds[held.pop()].release()
         finally:
-            for shard in reversed(shards):
-                self._locks[shard].release()
+            for shard in held:
+                self._conds[shard].release()
         return tuple(totals)  # type: ignore[return-value]
 
     def serve_grouped(
@@ -825,7 +801,7 @@ class ServeFarm:
 
         Thread safety: concurrent calls for *distinct* shards are safe
         (each shard's pipe and journal are guarded by that shard's lock;
-        the aggregate metrics and respawn budget are lock-guarded).
+        the aggregate metrics are lock-guarded).
         Concurrent calls for the same shard serialize on the shard lock.
         """
         self._check_open()
@@ -845,7 +821,7 @@ class ServeFarm:
                 )
         if not batches:
             return []
-        with self._locks[shard]:
+        with self._conds[shard]:
             self._send_serve(shard, batches)
             details = self._collect_shard(shard, batches)
         return [
@@ -912,10 +888,14 @@ class ServeFarm:
     # -- introspection -------------------------------------------------
     def _query(self, shard: int, command: str):
         self._check_open()
-        with self._locks[shard]:
-            conn = self._conns[shard]
-            conn.send((command,))
-            reply = conn.recv()
+        with self._conds[shard]:
+            while True:
+                try:
+                    self._conns[shard].send((command,))
+                    reply = self._conns[shard].recv()
+                    break
+                except (EOFError, OSError):
+                    self._await_respawn(shard)
         if reply[0] == "error":
             raise ReliabilityError(
                 f"serve farm shard {shard} failed {command}: {reply[1]}"

@@ -12,10 +12,11 @@ runs one small state machine per shard:
 * **suspect** — the heartbeat deadline slipped but not past
   ``down_after``; dispatch continues (a busy GIL can starve a beat
   without the worker being dead);
-* **down** — beats missed past ``down_after``, or the heartbeat pipe hit
-  EOF (the worker process died — EOF is immediate, well before any
-  deadline); the supervisor proactively respawns *before* a dispatch has
-  to fail;
+* **down** — the heartbeat pipe hit EOF (the worker process died — EOF
+  is immediate, well before any deadline), or beats were missed past
+  ``down_after`` (the worker is wedged: the supervisor kills it, so the
+  EOF follows); the supervisor respawns the shard *before* a dispatch
+  has to fail;
 * **recovering** — a respawn (restore + journal replay) is in flight.
 
 The monitor is deliberately passive: it owns no threads and no pipes.
@@ -65,8 +66,9 @@ class HealthConfig:
     interval: float = 0.5
     #: Silence after which a shard turns ``suspect``.
     suspect_after: float = 2.0
-    #: Silence after which a shard is declared ``down`` and proactively
-    #: respawned.  Pipe EOF (worker death) short-circuits this deadline.
+    #: Silence after which a shard is declared ``down``, its worker
+    #: killed and respawned.  Pipe EOF (worker death) short-circuits
+    #: this deadline.
     down_after: float = 5.0
 
     def __post_init__(self) -> None:
@@ -148,8 +150,8 @@ class HealthMonitor:
         """Apply the missed-beat deadlines; returns shards newly ``down``.
 
         Escalates ``healthy → suspect → down`` from heartbeat silence.
-        Shards already ``down`` or ``recovering`` are left to the farm's
-        respawn path.
+        Shards already ``down`` or ``recovering`` are skipped: the farm's
+        supervisor is replacing them.
         """
         now = self.clock()
         newly_down: list[int] = []

@@ -195,6 +195,13 @@ class TestBlockingClient:
             shards = 1
             router = ShardRouter(1)
             metrics = FarmMetrics()
+            shard_recoveries = [0]
+
+            def shard_pids(self):
+                return [None]
+
+            def health_states(self):
+                return ["healthy"]
 
             def serve_grouped(self, shard, batches):
                 return [
@@ -398,6 +405,13 @@ class TestAsyncClient:
             shards = 1
             router = ShardRouter(1)
             metrics = FarmMetrics()
+            shard_recoveries = [0]
+
+            def shard_pids(self):
+                return [None]
+
+            def health_states(self):
+                return ["healthy"]
 
             def serve_grouped(self, shard, batches):
                 assert gate.wait(timeout=30)

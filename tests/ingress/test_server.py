@@ -66,6 +66,13 @@ class _StubFarm:
         self.gate = gate  # serve_grouped blocks on this when set
         self.calls: list[list] = []
         self.closed = False
+        self.shard_recoveries = [0] * shards
+
+    def shard_pids(self):
+        return [None] * self.shards
+
+    def health_states(self):
+        return ["healthy"] * self.shards
 
     def serve_grouped(self, shard, batches):
         if self.gate is not None:

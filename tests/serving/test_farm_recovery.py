@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import random
+import time
 
 import pytest
 
@@ -84,9 +85,9 @@ class TestWorkerKillRecovery:
             ) as farm:
                 batch = farm.serve_stream(requests)
                 assert farm.respawns == 1
-                # Exactly one recovery, whichever path (the supervisor's
-                # or the dispatch path's) got to the dead worker first.
-                assert sum(farm.recoveries.values()) == 1
+                # Exactly one recovery: the supervisor's, while the
+                # dispatch that hit the dead pipe waited for it.
+                assert sum(farm.shard_recoveries) == 1
                 farm_metrics = farm.session_metrics()
                 aggregate = farm.metrics.to_dict()
         finally:
@@ -111,7 +112,8 @@ class TestWorkerKillRecovery:
 
     def test_crash_loop_exhausts_respawn_budget(self, tmp_path):
         """A shard that dies on every attempt becomes a loud
-        ReliabilityError once max_respawns is spent, not a hang."""
+        ReliabilityError once max_respawns is spent, not a hang — and
+        stays one: later calls raise at once and close() returns."""
         plan = FaultPlan(
             specs=(FaultSpec("farm.serve", mode="kill", at=(1, 2, 3, 4)),),
             ledger=str(tmp_path / "ledger"),
@@ -121,12 +123,50 @@ class TestWorkerKillRecovery:
             with ServeFarm(
                 "kary-splaynet", n=16, k=2, shards=1, max_respawns=1
             ) as farm:
-                with pytest.raises(ReliabilityError, match="gave up"):
+                with pytest.raises(ReliabilityError, match="gave up") as first:
                     farm.serve("a", 1, 9)
                 assert farm.respawns == 2  # budget + the failed attempt
+                started = time.monotonic()
+                with pytest.raises(ReliabilityError) as second:
+                    farm.serve("a", 2, 8)
+                assert time.monotonic() - started < 1.0
+                assert str(second.value) == str(first.value)
+                assert farm.respawns == 2  # no respawn for a given-up shard
+                started = time.monotonic()
+                farm.close()
+                assert time.monotonic() - started < 5.0
         finally:
             os.environ.pop(FAULTS_ENV, None)
             clear_fault_plan()
+
+    def test_failed_replay_spends_a_respawn_not_the_shard(self, tmp_path):
+        """A replacement whose journal replay fails holds partial state:
+        the supervisor replaces it again instead of serving from it, and
+        the in-flight batch still lands exactly once."""
+        plan = FaultPlan(
+            specs=(
+                FaultSpec("farm.serve", mode="kill", at=(2,)),
+                # Its second invocation is the first replacement's replay.
+                FaultSpec(
+                    "farm.serve", mode="error", at=(2,), match="shard=0"
+                ),
+            ),
+            ledger=str(tmp_path / "ledger"),
+        )
+        _activate_for_workers(plan)
+        try:
+            with ServeFarm("kary-splaynet", n=16, k=2, shards=1) as farm:
+                farm.serve_batch("a", [1, 2, 3], [9, 8, 7])
+                farm.serve_batch("a", [4], [5])
+                assert farm.respawns == 2
+                assert farm.shard_recoveries == [1]
+                farm_metrics = farm.session_metrics()
+        finally:
+            os.environ.pop(FAULTS_ENV, None)
+            clear_fault_plan()
+        assert farm_metrics == _clean_run(
+            [("a", 1, 9), ("a", 2, 8), ("a", 3, 7), ("a", 4, 5)], 16, 2
+        )
 
     def test_injected_error_is_relayed_not_fatal(self, tmp_path):
         """``error`` mode surfaces as ReliabilityError in the parent while
